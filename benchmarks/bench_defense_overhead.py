@@ -11,9 +11,10 @@ and pay the per-instruction event cost; their overhead is recorded for
 the trajectory but only sanity-bounded, not guarded tightly -- they are
 opt-in observers, not the default.
 
-Measures best-of-N wall seconds on the benign call-heavy workload the
-defense matrix uses (so shadow-stack/PAC hooks actually fire), one row
-per defense plus the undefended baseline.  Emits
+Measures best-of-N wall seconds of the simulated run (machine built
+outside the timer) on the benign call-heavy workload the defense matrix
+uses (so shadow-stack/PAC hooks actually fire), one row per defense plus
+the undefended baseline.  Emits
 ``BENCH_defense_overhead.json`` at the repo root.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_defense_overhead.py [--check]
@@ -39,9 +40,10 @@ from repro.evalx.reporting import render_kv
 MAX_TAINTEDNESS_OVERHEAD_PCT = 30.0
 
 #: Sanity ceiling for the event-bus comparators.  Subscribing
-#: InstructionRetired forces per-instruction event allocation, so real
-#: overheads sit near 100-150%; the ceiling only catches pathological
-#: regressions (e.g. a comparator going quadratic in call depth).
+#: InstructionRetired forces per-instruction event allocation and
+#: single-stepping (the baseline runs fused), so real overheads sit near
+#: 200%; the ceiling only catches pathological regressions (e.g. a
+#: comparator going quadratic in call depth).
 MAX_COMPARATOR_OVERHEAD_PCT = 600.0
 
 

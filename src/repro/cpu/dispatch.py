@@ -9,15 +9,20 @@ the hardware structure in interpreter form:
 
 * every mnemonic has a **binder** registered in :data:`BINDERS` (the
   dispatch table, keyed by mnemonic);
-* at image-load time :func:`bind_program` runs each decoded instruction
-  through its binder once, producing a zero-argument **executor** closure
-  with every static property -- operand register numbers, immediates,
-  access sizes, branch targets, the applicable Table 1 taint rule, the
-  policy knobs, the disassembly and source line used in alerts -- resolved
-  at bind time;
+* each text slot is bound on first dispatch (:func:`bind_slot`): its
+  decoded instruction runs through its binder once, producing a
+  zero-argument **executor** closure with every static property --
+  operand register numbers, immediates, access sizes, branch targets,
+  the applicable Table 1 taint rule, the policy knobs, the disassembly
+  and source line used in alerts -- resolved at bind time;
 * the execution engines then run ``next_pc = ops[(pc - text_base) >> 2]()``
   -- fetch is an index, dispatch is a bound call, and no per-step
   classification happens at all.
+
+So a machine pays binding only for the code it runs.  Binders read only
+state fixed at construction or of stable identity (policy, taint-plane
+mode, executable, live subscriber lists, watchpoints), so a late bind
+captures exactly what an eager one would.
 
 Both the functional engine and the five-stage pipeline execute through the
 same bindings, so the ISA semantics, the Table 1 propagation rules and the
@@ -48,7 +53,7 @@ taint masks for gating, because a destination register may alias a source.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..defenses.alerts import KIND_JUMP, KIND_LOAD, KIND_STORE
 from ..core.events import SyscallEnter, SyscallExit, TaintPropagated
@@ -81,18 +86,25 @@ def binds(*names: str) -> Callable[[Binder], Binder]:
     return register
 
 
-def bind_program(machine: MachineState) -> List[Executor]:
-    """Predecode the whole text segment into executor bindings.
+def bind_program(machine: MachineState) -> List[Optional[Executor]]:
+    """The machine's executor slot table, parallel to
+    ``executable.instructions``: every slot ``None`` until its first
+    dispatch binds it (``ops[i] or bind_slot(machine, ops, i)``)."""
+    return [None] * len(machine.executable.instructions)
 
-    Returns a list parallel to ``executable.instructions``.  Unknown
-    mnemonics bind to an executor that faults on execution (matching the
-    old engine, which only complained when such an instruction ran).
-    """
-    base = machine.executable.text_base
-    return [
-        BINDERS.get(instr.name, _bind_unknown)(instr, base + 4 * i, machine)
-        for i, instr in enumerate(machine.executable.instructions)
-    ]
+
+def bind_slot(
+    machine: MachineState, ops: List[Optional[Executor]], index: int
+) -> Executor:
+    """Bind slot ``index`` of ``ops`` on a miss and return its executor.
+    Unknown mnemonics bind to an executor that faults on execution."""
+    exe = machine.executable
+    instr = exe.instructions[index]
+    op = BINDERS.get(instr.name, _bind_unknown)(
+        instr, exe.text_base + 4 * index, machine
+    )
+    ops[index] = op
+    return op
 
 
 def _signed(value: int) -> int:
@@ -357,6 +369,9 @@ def _bind_syscall(instr: Instr, pc: int, m: MachineState) -> Executor:
         handler = m.syscall_handler
         if handler is None:
             raise SimulatorFault(f"syscall at {pc:#x} with no kernel attached")
+        # The engines keep pc in a local until run() returns; publish it
+        # so the kernel's messages and events name this syscall.
+        m.pc = pc
         if enter_subs or exit_subs:
             number = values[2]  # $v0
             if enter_subs:

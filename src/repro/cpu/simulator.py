@@ -1,15 +1,15 @@
 """Functional execution engine: fetch -> bound-executor dispatch.
 
-The text segment is predecoded at construction time by
-:func:`repro.cpu.dispatch.bind_program`, which turns every static
+Each text slot is bound on first dispatch by
+:func:`repro.cpu.dispatch.bind_slot`, which turns the static
 instruction into an executor closure with operand fields, load/store
 metadata, branch targets, and the applicable Table 1 taint rule resolved
 once.  ``step()``/``run()`` are therefore pure drivers: index the binding
-for the current pc, call it, account the retirement.  All ISA semantics,
-Table 1 propagation, and the section 4.3 dereference checks live in
-:mod:`repro.cpu.dispatch`; all architectural state lives in
-:class:`repro.cpu.machine.MachineState`, which the cycle-level five-stage
-model (:mod:`repro.cpu.pipeline`) shares.
+for the current pc (binding it on a miss), call it, account the
+retirement.  All ISA semantics, Table 1 propagation, and the section 4.3
+dereference checks live in :mod:`repro.cpu.dispatch`; all architectural
+state lives in :class:`repro.cpu.machine.MachineState`, which the
+cycle-level five-stage model (:mod:`repro.cpu.pipeline`) shares.
 
 Observation happens through the machine's typed event bus
 (:mod:`repro.core.events`): subscribe to ``InstructionRetired`` for
@@ -30,7 +30,7 @@ from ..defenses.policy import DetectionPolicy
 from ..isa.instructions import Instr
 from ..isa.program import Executable
 from ..mem.tainted_memory import MemoryFault
-from .dispatch import bind_program
+from .dispatch import bind_program, bind_slot
 from .machine import (
     ExecutionLimit,
     MachineState,
@@ -75,7 +75,8 @@ class Simulator(MachineState):
         super().__init__(executable, policy, syscall_handler, use_caches, taint_labels)
         self._trace_hook: Optional[Callable[["Simulator", int, Instr], None]] = None
         self._trace_adapter: Optional[Callable[[InstructionRetired], None]] = None
-        #: Per-slot executor bindings, parallel to ``executable.instructions``.
+        #: Per-slot executor bindings, parallel to ``executable.instructions``
+        #: (``None`` until the slot's first dispatch).
         self._ops = bind_program(self)
         # Parallel mnemonic/class name lists so the per-step instruction-mix
         # accounting never touches Instr attributes on the hot path.
@@ -223,7 +224,7 @@ class Simulator(MachineState):
                 by_mnemonic[names[index]] += 1
                 by_class[klasses[index]] += 1
                 try:
-                    next_pc = ops[index]()
+                    next_pc = (ops[index] or bind_slot(self, ops, index))()
                 except (SimulatorFault, MemoryFault) as exc:
                     if fault_subs:
                         bus.emit(MemoryFaulted(pc, str(exc)))
@@ -252,12 +253,13 @@ class Simulator(MachineState):
         an exact copy of the unfused per-instruction body whenever a
         block cannot run fused: an ``InstructionRetired`` subscriber
         needs per-instruction events (tracing, fault injectors, defense
-        comparators), the remaining budget is smaller than the block, or
-        the block is a single instruction.  On a mid-block exception the
-        sync closure's ``stats.instructions`` updates pinpoint the
-        faulting instruction, and partial progress (recent pcs,
-        instruction mix, ``self.pc``) is reconciled to byte-identical
-        unfused state before the exception propagates.
+        comparators; checked first, so such a run builds no block), the
+        remaining budget is smaller than the block, or the block is a
+        single instruction.  On a mid-block exception the sync closure's
+        ``stats.instructions`` updates pinpoint the faulting instruction,
+        and partial progress (recent pcs, instruction mix, ``self.pc``)
+        is reconciled to byte-identical unfused state before the
+        exception propagates.
         """
         ops = self._ops
         names = self._names
@@ -314,18 +316,21 @@ class Simulator(MachineState):
                     if fault_subs:
                         bus.emit(MemoryFaulted(pc, str(fault)))
                     raise fault
-                block = blocks.get(index)
-                if block is None:
-                    block = lookup(self, index)
-                n = block.n
-                if retired_subs or n < 2 or budget < n:
+                if retired_subs:
+                    n = 0
+                else:
+                    block = blocks.get(index)
+                    if block is None:
+                        block = lookup(self, index)
+                    n = block.n
+                if n < 2 or budget < n:
                     # Single-step fallback: byte-for-byte the unfused body.
                     recent.append(pc)
                     stats.instructions += 1
                     by_mnemonic[names[index]] += 1
                     by_class[klasses[index]] += 1
                     try:
-                        next_pc = ops[index]()
+                        next_pc = (ops[index] or bind_slot(self, ops, index))()
                     except (SimulatorFault, MemoryFault) as exc:
                         if fault_subs:
                             bus.emit(MemoryFaulted(pc, str(exc)))
@@ -426,12 +431,13 @@ class Simulator(MachineState):
             raise fault
         stats = self.stats
         instr = self._instructions[index]
+        ops = self._ops
         self.recent_pcs.append(pc)
         stats.instructions += 1
         stats.by_mnemonic[instr.name] += 1
         stats.by_class[instr.klass] += 1
         try:
-            next_pc = self._ops[index]()
+            next_pc = (ops[index] or bind_slot(self, ops, index))()
         except (SimulatorFault, MemoryFault) as exc:
             if fault_subs:
                 bus.emit(MemoryFaulted(pc, str(exc)))

@@ -27,7 +27,11 @@ Two fusion flavours, chosen by classifying the block's mnemonics:
   progress from that counter when an exception escapes mid-block.
 
 Every closure is generated with its executors bound as default
-arguments (LOAD_FAST at call time) and compiled once per block entry.
+arguments (LOAD_FAST at call time) and compiled once per block shape per
+process: the code for each (pure/sync, length) pair is compiled on its
+first use, and each block is a new function over that shared code
+object, with its executors, entry pc and ``stats`` as its defaults.  The
+code objects hold no state, so every machine in the process shares them.
 
 **Self-modifying code**: fused closures are derived from the immutable
 predecoded program, the same source both engines execute from, so a
@@ -43,8 +47,11 @@ cache is **snapshot-safe**: checkpoint/rollback never needs to flush it
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import functools
+from types import CodeType, FunctionType
+from typing import Dict, Tuple
 
+from .dispatch import BINDERS, bind_slot
 from .machine import RECENT_PC_DEPTH
 
 __all__ = [
@@ -85,20 +92,18 @@ class Superblock:
     """One fused straight-line run, keyed by its entry slot index."""
 
     __slots__ = (
-        "entry", "n", "pure", "fn", "pcs", "names", "klasses",
+        "n", "pure", "fn", "pcs", "names", "klasses",
         "mix_names", "mix_classes", "loop_tail",
     )
 
     def __init__(
         self,
-        entry: int,
         pure: bool,
         fn,
         pcs: Tuple[int, ...],
         names: Tuple[str, ...],
         klasses: Tuple[str, ...],
     ) -> None:
-        self.entry = entry
         self.n = len(pcs)
         self.pure = pure
         #: The fused closure.  Pure blocks: ``fn(max_iters) ->
@@ -128,66 +133,62 @@ def _aggregate(items: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
     return tuple(counts.items())
 
 
-def _compose_pure(ops: List, entry_pc: int) -> object:
-    """Self-iterating unrolled closure for a pure block.
-
-    ``fn(max_iters) -> (next_pc, iters)`` runs the block body repeatedly
-    while the terminator branches back to the block's own entry -- the
-    hot-loop shape -- paying exactly **one loop-exit check per
-    iteration**.  Non-looping blocks exit after one pass.  ``max_iters``
-    bounds the burst so the engine keeps its budget and wall-clock
-    deadline cadence.
-    """
-    n = len(ops)
-    params = ", ".join(
-        [f"o{i}=_b[{i}]" for i in range(n)] + [f"_entry={entry_pc}"]
-    )
-    calls = "".join(f"        o{i}()\n" for i in range(n - 1))
-    src = (
-        f"def _fused(max_iters, {params}):\n"
-        f"    i = 0\n"
-        f"    while True:\n"
-        f"{calls}"
-        f"        next_pc = o{n - 1}()\n"
-        f"        i += 1\n"
-        f"        if next_pc != _entry or i >= max_iters:\n"
-        f"            return next_pc, i\n"
-    )
-    namespace = {"_b": ops}
-    exec(compile(src, "<superblock>", "exec"), namespace)
-    return namespace["_fused"]
+#: Globals of every fused closure (the generated code reads none).
+_GLOBALS: Dict[str, object] = {}
 
 
-def _compose_sync(ops: List, stats) -> object:
-    """Unrolled sequence that advances ``stats.instructions`` before each
+@functools.lru_cache(maxsize=None)
+def _template(pure: bool, n: int) -> CodeType:
+    """Code of the fused closure for an ``n``-op pure or sync block.
+
+    Pure: ``fn(max_iters) -> (next_pc, iters)`` runs the block body
+    repeatedly while the terminator branches back to the block's own
+    entry -- the hot-loop shape -- paying exactly **one loop-exit check
+    per iteration**.  Non-looping blocks exit after one pass.
+    ``max_iters`` bounds the burst so the engine keeps its budget and
+    wall-clock deadline cadence.
+
+    Sync: ``fn() -> next_pc`` advances ``stats.instructions`` before each
     call, mirroring the unfused loop's increment-then-execute order so
-    alert indices, label allocation, and exception reconciliation all see
-    the exact per-instruction counter."""
-    n = len(ops)
-    params = ", ".join(
-        ["_s=_stats"] + [f"o{i}=_b[{i}]" for i in range(n)]
-    )
-    lines = ["    n = _s.instructions\n"]
-    for i in range(n - 1):
-        lines.append(f"    _s.instructions = n + {i + 1}\n    o{i}()\n")
-    lines.append(f"    _s.instructions = n + {n}\n    return o{n - 1}()\n")
-    src = f"def _fused({params}):\n{''.join(lines)}"
-    namespace = {"_b": ops, "_stats": stats}
+    alert indices, label allocation, and exception reconciliation all
+    see the exact per-instruction counter.
+
+    Compiled once per shape per process (``cache_info().misses`` counts
+    the compiles); each block's arguments are its function's defaults.
+    """
+    ops = ", ".join(f"o{i}" for i in range(n))
+    if pure:
+        calls = "".join(f"        o{i}()\n" for i in range(n - 1))
+        src = (
+            f"def _fused(max_iters, {ops}, _entry):\n"
+            f"    i = 0\n"
+            f"    while True:\n"
+            f"{calls}"
+            f"        next_pc = o{n - 1}()\n"
+            f"        i += 1\n"
+            f"        if next_pc != _entry or i >= max_iters:\n"
+            f"            return next_pc, i\n"
+        )
+    else:
+        lines = ["    n = _s.instructions\n"]
+        for i in range(n - 1):
+            lines.append(f"    _s.instructions = n + {i + 1}\n    o{i}()\n")
+        lines.append(f"    _s.instructions = n + {n}\n    return o{n - 1}()\n")
+        src = f"def _fused(_s, {ops}):\n{''.join(lines)}"
+    namespace: Dict[str, object] = {}
     exec(compile(src, "<superblock>", "exec"), namespace)
-    return namespace["_fused"]
+    return namespace["_fused"].__code__
 
 
 def build_superblock(sim, entry: int) -> Superblock:
     """Fuse the straight-line run starting at slot ``entry``.
 
     Walks the predecoded mnemonic list to the first terminator (or the
-    length cap, or the end of text), classifies the run, and compiles
-    the fused closure.  Unknown mnemonics terminate the block and make
-    it a sync block: their executors fault on execution, exactly like
-    the unfused path.
+    length cap, or the end of text), binds any of the run's slots not
+    yet bound, classifies the run, and composes the fused closure.
+    Unknown mnemonics terminate the block and make it a sync block:
+    their executors fault on execution, exactly like the unfused path.
     """
-    from .dispatch import BINDERS  # local import: dispatch imports nothing here
-
     names = sim._names
     klasses = sim._klasses
     ops = sim._ops
@@ -201,17 +202,15 @@ def build_superblock(sim, entry: int) -> Superblock:
         if name in TERMINATORS or name not in BINDERS:
             break
         idx += 1
-    block_ops = [ops[i] for i in slots]
+    block_ops = [ops[i] or bind_slot(sim, ops, i) for i in slots]
     block_names = tuple(names[i] for i in slots)
     pure = all(nm in PURE_OPS for nm in block_names)
     pcs = tuple(base + 4 * i for i in slots)
-    fn = (
-        _compose_pure(block_ops, pcs[0])
-        if pure
-        else _compose_sync(block_ops, sim.stats)
+    fn = FunctionType(
+        _template(pure, len(slots)), _GLOBALS, "_fused",
+        (*block_ops, pcs[0]) if pure else (sim.stats, *block_ops),
     )
     return Superblock(
-        entry=entry,
         pure=pure,
         fn=fn,
         pcs=pcs,

@@ -27,12 +27,12 @@ Rows are independent, so ``run_defense_matrix`` takes the same
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
-from ..attacks.replay import run_minic
+from ..attacks.replay import run_executable
 from ..defenses.policy import NullPolicy
 from ..defenses.registry import DEFENSES
+from ..libc.build import build_program
 from ..obs import MetricsRegistry
 from .reporting import check, render_table
 
@@ -130,32 +130,35 @@ def run_defense_overhead(repeats: int = 3) -> List[Dict[str, object]]:
     Returns one row per defense (plus the ``"none"`` baseline first):
     retired instruction count (identical across defenses -- the machine's
     architectural behavior never depends on an attached observer), hook
-    checks performed, and best-of-``repeats`` wall seconds with the
-    overhead percentage against the baseline.
+    checks performed, and best-of-``repeats`` wall seconds of the
+    simulated run with the overhead percentage against the baseline.  The
+    executable and each machine are built outside the timed region.
     """
+    from .experiments import _stopwatch
+
+    exe = build_program(_OVERHEAD_SOURCE)
     rows: List[Dict[str, object]] = []
     baseline_wall: Optional[float] = None
     for name in (None, *DEFENSE_NAMES):
-        best_wall = float("inf")
+        laps: List[float] = []
         instructions = 0
         checks = 0
         for _ in range(repeats):
             detector = DEFENSES.create(name) if name is not None else None
-            start = time.perf_counter()
-            result = run_minic(
-                _OVERHEAD_SOURCE,
+            result = run_executable(
+                exe,
                 NullPolicy() if detector is None else None,
                 defense=detector,
+                instrument=_stopwatch(laps),
             )
-            wall = time.perf_counter() - start
             if result.outcome != "exit":
                 raise RuntimeError(
                     f"overhead workload must exit cleanly, got "
                     f"{result.describe()} under {name or 'none'}"
                 )
-            best_wall = min(best_wall, wall)
             instructions = result.sim.stats.instructions
             checks = detector.checks if detector is not None else 0
+        best_wall = min(laps)
         if baseline_wall is None:
             baseline_wall = best_wall
         rows.append(

@@ -31,10 +31,31 @@ def _spawn(*argv):
     )
 
 
-def _interrupt_after(proc, signum, delay_s):
-    time.sleep(delay_s)
-    if proc.poll() is not None:  # pragma: no cover - timing guard
-        pytest.skip("command finished before the signal landed")
+def _handles_sigterm(pid):
+    """Whether ``pid`` has a SIGTERM handler installed (Linux ``SigCgt``)."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("SigCgt:"):
+                caught = int(line.split()[1], 16)
+                return bool(caught >> (signal.SIGTERM - 1) & 1)
+    return False
+
+
+def _interrupt_inside_command(proc, signum, timeout_s=60.0):
+    """Send ``signum`` once the command runs inside ``_run_interruptible``,
+    the only code that installs a SIGTERM handler -- not after a fixed
+    sleep, which a fast command outruns."""
+    if not os.path.exists(f"/proc/{proc.pid}/status"):  # pragma: no cover
+        proc.kill()
+        proc.communicate()
+        pytest.skip("needs /proc/<pid>/status to see the signal handler")
+    deadline = time.monotonic() + timeout_s
+    while not _handles_sigterm(proc.pid):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            _out, err = proc.communicate()
+            pytest.fail(f"command never reached _run_interruptible: {err}")
+        time.sleep(0.005)
     proc.send_signal(signum)
     out, err = proc.communicate(timeout=60)
     return proc.returncode, out, err
@@ -42,23 +63,24 @@ def _interrupt_after(proc, signum, delay_s):
 
 class TestSignalHandling:
     def test_sigint_mid_campaign_exits_130_with_progress_message(self):
+        # Far more trials than the pool can finish before the signal.
         proc = _spawn(
-            "campaign", "--builtin", "exp3", "--trials", "5000", "-j", "2"
+            "campaign", "--builtin", "exp3", "--trials", "20000", "-j", "2"
         )
-        rc, _out, err = _interrupt_after(proc, signal.SIGINT, 3.0)
+        rc, _out, err = _interrupt_inside_command(proc, signal.SIGINT)
         assert rc == 130
         assert "repro campaign: interrupted" in err
         assert "partial progress" in err
 
     def test_sigterm_mid_report_exits_130(self):
         proc = _spawn("report", "all")
-        rc, _out, err = _interrupt_after(proc, signal.SIGTERM, 2.0)
+        rc, _out, err = _interrupt_inside_command(proc, signal.SIGTERM)
         assert rc == 130
         assert "repro report: interrupted" in err
 
     def test_sigterm_mid_matrix_exits_130(self):
         proc = _spawn("matrix")
-        rc, _out, err = _interrupt_after(proc, signal.SIGTERM, 1.5)
+        rc, _out, err = _interrupt_inside_command(proc, signal.SIGTERM)
         assert rc == 130
         assert "repro matrix: interrupted" in err
 

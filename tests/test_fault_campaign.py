@@ -1,6 +1,7 @@
 """Fault-injection campaigns: triggers, injection, classification, recovery."""
 
 import io
+import random
 
 import pytest
 
@@ -204,6 +205,31 @@ class TestCampaignDeterminism:
         assert len(result.records) == 40
         assert all(r.outcome in OUTCOMES for r in result.records)
         assert sum(result.counts.values()) == 40
+
+    def test_unknown_syscall_fault_names_the_syscall_pc(self):
+        """A corrupted $v0 faults in the kernel, and the message names the
+        syscall's own pc on every path: the fused fast-trigger run and
+        the legacy single-stepped injector run agree byte for byte."""
+
+        def trial_350(**config_kwargs):
+            campaign = FaultCampaign(
+                builtin_workload("exp1"),
+                CampaignConfig(
+                    seed=random.Random("25/exp1").randrange(2**31),
+                    trials=351, recovery="rollback-retry", **config_kwargs
+                ),
+            )
+            trigger, spec = campaign.build_plan()[350]
+            return campaign.run_trial(350, trigger, spec)
+
+        fast = trial_350()
+        legacy = trial_350(
+            reuse_snapshots=False, fast_triggers=False, superblocks=False
+        )
+        assert fast.trigger == "pc:0x402f20"
+        assert fast.outcome == OUTCOME_CRASH
+        assert "unknown syscall 536870979 at pc=0x402f24" in fast.detail
+        assert fast == legacy
 
 
 class TestOutcomeTaxonomy:

@@ -497,10 +497,13 @@ class TestDrain:
             ) as client:
                 assert client.health()["status"] == "ok"
                 # An in-flight job keeps the server alive through the
-                # drain window; it must still complete.
+                # drain window; it must still complete.  A spin loop
+                # bounded by its deadline (not by an instruction budget)
+                # holds the slot for a fixed wall-clock time, however
+                # fast the simulator runs.
                 inflight = client.submit(
-                    {"kind": "campaign", "builtin": "exp3", "seed": 11,
-                     "trials": 25, "id": "inflight"}
+                    {"kind": "run", "asm": SPIN_ASM, "deadline_s": 2.0,
+                     "max_instructions": 10**12, "id": "inflight"}
                 )
                 deadline = time.monotonic() + 5
                 while time.monotonic() < deadline:
@@ -521,7 +524,9 @@ class TestDrain:
             assert response["kind"] == "error"
             assert response["reason"] == "draining"
             assert response["job"]["id"] == "late"
-            assert result["kind"] == "campaign"
+            assert result["kind"] == "run"
+            assert result["job"]["id"] == "inflight"
+            assert result["stats"]["limit"]["reason"] == "wallclock"
         assert bg.exit_code == 0
 
     def test_sigterm_finishes_in_flight_jobs_and_exits_zero(self, tmp_path):
