@@ -42,7 +42,7 @@ MAX_TAINTEDNESS_OVERHEAD_PCT = 30.0
 #: Sanity ceiling for the event-bus comparators.  Subscribing
 #: InstructionRetired forces per-instruction event allocation and
 #: single-stepping (the baseline runs fused), so real overheads sit near
-#: 200%; the ceiling only catches pathological regressions (e.g. a
+#: 300%; the ceiling only catches pathological regressions (e.g. a
 #: comparator going quadratic in call depth).
 MAX_COMPARATOR_OVERHEAD_PCT = 600.0
 

@@ -22,8 +22,9 @@ neither does this machine.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from time import monotonic as _monotonic
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.events import InstructionRetired, MemoryFaulted
 from ..defenses.policy import DetectionPolicy
@@ -78,10 +79,6 @@ class Simulator(MachineState):
         #: Per-slot executor bindings, parallel to ``executable.instructions``
         #: (``None`` until the slot's first dispatch).
         self._ops = bind_program(self)
-        # Parallel mnemonic/class name lists so the per-step instruction-mix
-        # accounting never touches Instr attributes on the hot path.
-        self._names = [instr.name for instr in self._instructions]
-        self._klasses = [instr.klass for instr in self._instructions]
         #: Fused superblock cache (derived from the immutable predecode:
         #: snapshot-safe, flushed only on text-segment writes).
         self.superblocks = SuperblockCache()
@@ -161,7 +158,9 @@ class Simulator(MachineState):
         With :attr:`superblocks_enabled` (the default) dispatch runs
         through the fused superblock tier; otherwise the classic
         one-closure-per-instruction loop.  Both produce byte-identical
-        architectural results, statistics, and events.
+        architectural results, statistics, and events.  Like ``self.pc``,
+        the instruction mix (``stats.by_mnemonic``/``by_class``) and
+        ``superblocks.hits`` are settled when the call returns or raises.
         """
         if self.superblocks_enabled:
             return self._run_fused(max_instructions)
@@ -169,16 +168,14 @@ class Simulator(MachineState):
 
     def _run_unfused(self, max_instructions: int) -> int:
         """The classic per-instruction loop (also the semantic reference
-        the fused tier's single-step fallback replicates exactly)."""
+        the fused tier's single-step fallback replicates exactly); the
+        mix is tallied per slot and folded when the call ends."""
         ops = self._ops
-        names = self._names
-        klasses = self._klasses
         count = len(ops)
         base = self._text_base
         instructions = self._instructions
         stats = self.stats
-        by_mnemonic = stats.by_mnemonic
-        by_class = stats.by_class
+        tally = defaultdict(int)
         recent = self.recent_pcs
         bus = self.events
         retired_subs = bus.subscribers(InstructionRetired)
@@ -221,8 +218,7 @@ class Simulator(MachineState):
                     raise fault
                 recent.append(pc)
                 stats.instructions += 1
-                by_mnemonic[names[index]] += 1
-                by_class[klasses[index]] += 1
+                tally[index] += 1
                 try:
                     next_pc = (ops[index] or bind_slot(self, ops, index))()
                 except (SimulatorFault, MemoryFault) as exc:
@@ -238,6 +234,7 @@ class Simulator(MachineState):
                 pc = next_pc
                 budget -= 1
         finally:
+            _fold_tally(self, tally)
             # On SecurityException / faults the pc stays at the offending
             # instruction; on a clean halt it has advanced past the exit
             # syscall -- same contract as before the decode-once refactor.
@@ -249,35 +246,31 @@ class Simulator(MachineState):
 
         Per dispatch: look up (or lazily build) the superblock at the
         current pc and run it as one closure, batching the loop-exit
-        checks and instruction-mix accounting per block.  Falls back to
-        an exact copy of the unfused per-instruction body whenever a
+        checks per block; the mix is tallied per block (a pure burst
+        adds its iterations) and folded when the call ends.  Falls back
+        to an exact copy of the unfused per-instruction body whenever a
         block cannot run fused: an ``InstructionRetired`` subscriber
         needs per-instruction events (tracing, fault injectors, defense
         comparators; checked first, so such a run builds no block), the
         remaining budget is smaller than the block, or the block is a
         single instruction.  On a mid-block exception the sync closure's
         ``stats.instructions`` updates pinpoint the faulting instruction,
-        and partial progress (recent pcs, instruction mix, ``self.pc``)
-        is reconciled to byte-identical unfused state before the
-        exception propagates.
+        and partial progress (recent pcs, the tally, ``self.pc``) is
+        reconciled to byte-identical unfused state before the exception
+        propagates.
         """
         ops = self._ops
-        names = self._names
-        klasses = self._klasses
         count = len(ops)
         base = self._text_base
         instructions = self._instructions
         stats = self.stats
-        by_mnemonic = stats.by_mnemonic
-        by_class = stats.by_class
+        tally = defaultdict(int)
         recent = self.recent_pcs
         bus = self.events
         retired_subs = bus.subscribers(InstructionRetired)
         fault_subs = bus.subscribers(MemoryFaulted)
-        cache = self.superblocks
-        blocks = cache.blocks
-        lookup = cache.lookup
-        hits = 0
+        blocks = self.superblocks.blocks
+        lookup = self.superblocks.lookup
         pc = self.pc
         budget = max_instructions
         limit = self.instruction_limit
@@ -327,8 +320,7 @@ class Simulator(MachineState):
                     # Single-step fallback: byte-for-byte the unfused body.
                     recent.append(pc)
                     stats.instructions += 1
-                    by_mnemonic[names[index]] += 1
-                    by_class[klasses[index]] += 1
+                    tally[index] += 1
                     try:
                         next_pc = (ops[index] or bind_slot(self, ops, index))()
                     except (SimulatorFault, MemoryFault) as exc:
@@ -355,62 +347,39 @@ class Simulator(MachineState):
                         # wall-clock check cadence.
                         max_iters = max(1, 2048 // n)
                     next_pc, iters = block.fn(max_iters)
-                    if iters == 1:
-                        stats.instructions += n
-                        recent.extend(block.pcs)
-                        for name, cnt in block.mix_names:
-                            by_mnemonic[name] += cnt
-                        for klass, cnt in block.mix_classes:
-                            by_class[klass] += cnt
-                        hits += 1
-                        pc = next_pc
-                        budget -= n
-                        continue
+                    tally[block.mix] += iters
                     executed = n * iters
                     stats.instructions += executed
                     if executed >= RECENT_PC_DEPTH:
                         recent.extend(block.loop_tail)
                     else:
                         recent.extend(block.pcs * iters)
-                    for name, cnt in block.mix_names:
-                        by_mnemonic[name] += cnt * iters
-                    for klass, cnt in block.mix_classes:
-                        by_class[klass] += cnt * iters
-                    hits += iters
                     pc = next_pc
                     budget -= executed
                     continue
-                else:
-                    n0 = stats.instructions
-                    try:
-                        next_pc = block.fn()
-                    except BaseException as exc:
-                        # The sync closure advanced stats.instructions
-                        # before each op, so it names the faulting slot.
-                        k = stats.instructions - n0 - 1
-                        if 0 <= k < n:
-                            recent.extend(block.pcs[: k + 1])
-                            block_names = block.names
-                            block_klasses = block.klasses
-                            for i in range(k + 1):
-                                by_mnemonic[block_names[i]] += 1
-                                by_class[block_klasses[i]] += 1
-                            pc = block.pcs[k]
-                            if fault_subs and isinstance(
-                                exc, (SimulatorFault, MemoryFault)
-                            ):
-                                bus.emit(MemoryFaulted(pc, str(exc)))
-                        raise
+                n0 = stats.instructions
+                try:
+                    next_pc = block.fn()
+                except BaseException as exc:
+                    # The sync closure advanced stats.instructions before
+                    # each op, so it names the faulting slot.
+                    k = stats.instructions - n0 - 1
+                    if 0 <= k < n:
+                        recent.extend(block.pcs[: k + 1])
+                        for slot in range(index, index + k + 1):
+                            tally[slot] += 1
+                        pc = block.pcs[k]
+                        if fault_subs and isinstance(
+                            exc, (SimulatorFault, MemoryFault)
+                        ):
+                            bus.emit(MemoryFaulted(pc, str(exc)))
+                    raise
                 recent.extend(block.pcs)
-                for name, cnt in block.mix_names:
-                    by_mnemonic[name] += cnt
-                for klass, cnt in block.mix_classes:
-                    by_class[klass] += cnt
-                hits += 1
+                tally[block.mix] += 1
                 pc = next_pc
                 budget -= n
         finally:
-            cache.hits += hits
+            _fold_tally(self, tally)
             # Same pc contract as the unfused loop: the offending
             # instruction on faults, past the exit syscall on halt.
             self.pc = pc
@@ -446,3 +415,28 @@ class Simulator(MachineState):
         if retired_subs:
             bus.emit(InstructionRetired(pc, instr, stats.instructions))
         self.pc = next_pc
+
+
+def _fold_tally(sim: Simulator, tally: Dict) -> None:
+    """Add one ``run()`` call's tally -- slot index or block mix to its
+    executions, in first-execution order -- to the instruction mix and
+    ``superblocks.hits``.  Each block's mix is in first-occurrence order,
+    so the counters equal per-instruction updates, key order included.
+    A block dropped from the cache mid-run still counts under its mix,
+    which its rebuilt successor reuses, so the tally holds at most one
+    key per text slot and per block entry, and no fused closure."""
+    by_mnemonic = sim.stats.by_mnemonic
+    by_class = sim.stats.by_class
+    hits = 0
+    for key, times in tally.items():
+        if isinstance(key, int):
+            instr = sim._instructions[key]
+            by_mnemonic[instr.name] += times
+            by_class[instr.klass] += times
+            continue
+        hits += times
+        for name, cnt in key.names:
+            by_mnemonic[name] += cnt * times
+        for klass, cnt in key.classes:
+            by_class[klass] += cnt * times
+    sim.superblocks.hits += hits

@@ -36,9 +36,13 @@ class ExecutionStats:
     #: Bytes marked tainted by the kernel at the input boundary (s5.4's
     #: "software processing overhead" -- one shadow instruction per byte).
     input_bytes_tainted: int = 0
-    #: Per-mnemonic execution counts.
+    #: Per-mnemonic execution counts, keyed in first-execution order.
+    #: Like the machine's ``pc``, exact whenever no ``run()`` is
+    #: executing: the functional engine tallies executions per block and
+    #: folds them in once, when each ``run()`` call ends.
     by_mnemonic: Counter = field(default_factory=Counter)
-    #: Per-taint-class execution counts (alu/shift/and/compare/...).
+    #: Per-taint-class execution counts (alu/shift/and/compare/...), on
+    #: the same contract as ``by_mnemonic``.
     by_class: Counter = field(default_factory=Counter)
 
     def clone(self) -> "ExecutionStats":

@@ -3,12 +3,14 @@
 The decode-once dispatch (:mod:`repro.cpu.dispatch`) already resolves
 every static instruction to a zero-argument executor closure, but the
 functional engine still pays full per-instruction accounting -- budget
-check, bounds check, recent-pc append, three counter updates -- around
-every single call.  This module fuses a straight-line run of executors
-(a basic block / superblock keyed by its entry slot, discovered lazily
-the first time the engine dispatches to it) into **one** generated
-closure, so the engine pays the loop-exit checks and the instruction-mix
-accounting once per block instead of once per instruction.
+check, bounds check, recent-pc append, execution tally -- around every
+single call.  This module fuses a straight-line run of executors (a
+basic block / superblock keyed by its entry slot, discovered lazily the
+first time the engine dispatches to it) into **one** generated closure,
+so the engine pays the loop-exit checks once per block instead of once
+per instruction.  The instruction mix is tallied per block and folded
+once per ``run()``: each block carries a :class:`BlockMix`, and the
+engine counts executions under it.
 
 Two fusion flavours, chosen by classifying the block's mnemonics:
 
@@ -48,9 +50,11 @@ cache is **snapshot-safe**: checkpoint/rollback never needs to flush it
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from types import CodeType, FunctionType
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
+from ..isa.instructions import Instr
 from .dispatch import BINDERS, bind_slot
 from .machine import RECENT_PC_DEPTH
 
@@ -58,6 +62,7 @@ __all__ = [
     "MAX_SUPERBLOCK_LEN",
     "PURE_OPS",
     "TERMINATORS",
+    "BlockMix",
     "Superblock",
     "SuperblockCache",
     "build_superblock",
@@ -88,49 +93,43 @@ PURE_OPS = frozenset({
 })
 
 
+class BlockMix:
+    """A block's instruction mix in first-occurrence order (so the
+    engine's once-per-run fold keeps per-instruction counters' key
+    order), and the key its executions are tallied under."""
+
+    __slots__ = ("names", "classes")
+
+    def __init__(self, instrs: Sequence[Instr]) -> None:
+        self.names = tuple(Counter(i.name for i in instrs).items())
+        self.classes = tuple(Counter(i.klass for i in instrs).items())
+
+
 class Superblock:
     """One fused straight-line run, keyed by its entry slot index."""
 
-    __slots__ = (
-        "n", "pure", "fn", "pcs", "names", "klasses",
-        "mix_names", "mix_classes", "loop_tail",
-    )
+    __slots__ = ("n", "pure", "fn", "pcs", "mix", "loop_tail")
 
     def __init__(
         self,
         pure: bool,
         fn,
         pcs: Tuple[int, ...],
-        names: Tuple[str, ...],
-        klasses: Tuple[str, ...],
+        mix: BlockMix,
     ) -> None:
         self.n = len(pcs)
         self.pure = pure
         #: The fused closure.  Pure blocks: ``fn(max_iters) ->
-        #: (next_pc, iters)`` (self-iterating, see ``_compose_pure``).
+        #: (next_pc, iters)`` (self-iterating, see ``_template``).
         #: Sync blocks: ``fn() -> next_pc`` (single pass).
         self.fn = fn
         self.pcs = pcs
-        #: Per-instruction mnemonics/classes, for partial reconciliation.
-        self.names = names
-        self.klasses = klasses
-        #: Aggregated instruction mix in first-occurrence order, so
-        #: batched counter updates preserve the insertion order the
-        #: incremental loop would produce.
-        self.mix_names = _aggregate(names)
-        self.mix_classes = _aggregate(klasses)
+        self.mix = mix
         #: The last RECENT_PC_DEPTH pcs of a long self-loop burst
         #: (cyclic suffix ending at the terminator), precomputed so the
         #: engine can refill the recent-pc ring in one extend.
         repeats = (RECENT_PC_DEPTH - 1) // self.n + 1
         self.loop_tail = (pcs * repeats)[-RECENT_PC_DEPTH:]
-
-
-def _aggregate(items: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
-    counts: Dict[str, int] = {}
-    for item in items:
-        counts[item] = counts.get(item, 0) + 1
-    return tuple(counts.items())
 
 
 #: Globals of every fused closure (the generated code reads none).
@@ -189,34 +188,27 @@ def build_superblock(sim, entry: int) -> Superblock:
     Unknown mnemonics terminate the block and make it a sync block:
     their executors fault on execution, exactly like the unfused path.
     """
-    names = sim._names
-    klasses = sim._klasses
+    instructions = sim._instructions
     ops = sim._ops
     count = len(ops)
     base = sim._text_base
     slots = []
     idx = entry
     while idx < count and len(slots) < MAX_SUPERBLOCK_LEN:
-        name = names[idx]
+        name = instructions[idx].name
         slots.append(idx)
         if name in TERMINATORS or name not in BINDERS:
             break
         idx += 1
     block_ops = [ops[i] or bind_slot(sim, ops, i) for i in slots]
-    block_names = tuple(names[i] for i in slots)
-    pure = all(nm in PURE_OPS for nm in block_names)
+    block_instrs = [instructions[i] for i in slots]
+    pure = all(instr.name in PURE_OPS for instr in block_instrs)
     pcs = tuple(base + 4 * i for i in slots)
     fn = FunctionType(
         _template(pure, len(slots)), _GLOBALS, "_fused",
         (*block_ops, pcs[0]) if pure else (sim.stats, *block_ops),
     )
-    return Superblock(
-        pure=pure,
-        fn=fn,
-        pcs=pcs,
-        names=block_names,
-        klasses=tuple(klasses[i] for i in slots),
-    )
+    return Superblock(pure=pure, fn=fn, pcs=pcs, mix=BlockMix(block_instrs))
 
 
 class SuperblockCache:
@@ -225,13 +217,16 @@ class SuperblockCache:
     Derived entirely from the immutable predecode, so snapshots never
     capture it and rollback never flushes it; a text-segment write
     clears it wholesale (SMC is rare enough that selective invalidation
-    would be complexity without a workload).
+    would be complexity without a workload).  Each entry's
+    :class:`BlockMix` outlives that clear, so a run's tally keeps one key
+    per entry (and no dropped closure) however often the text is written.
     """
 
-    __slots__ = ("blocks", "built", "invalidated", "hits")
+    __slots__ = ("blocks", "mixes", "built", "invalidated", "hits")
 
     def __init__(self) -> None:
         self.blocks: Dict[int, Superblock] = {}
+        self.mixes: Dict[int, BlockMix] = {}
         #: Observability counters, harvested into metrics as
         #: ``superblock.{built,invalidated,hits}``.
         self.built = 0
@@ -242,6 +237,8 @@ class SuperblockCache:
         block = self.blocks.get(entry)
         if block is None:
             block = build_superblock(sim, entry)
+            # Same decode, same mix: a rebuild reuses the first record.
+            block.mix = self.mixes.setdefault(entry, block.mix)
             self.blocks[entry] = block
             self.built += 1
         return block

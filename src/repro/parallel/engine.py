@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -148,9 +149,16 @@ def plan_chunks(
     return chunks
 
 
+#: Signals that interrupt a fan-out (``cli._run_interruptible`` turns
+#: SIGTERM into ``KeyboardInterrupt``).
+_INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
+
+
 def _pool_initializer() -> None:
     global _IN_WORKER
     _IN_WORKER = True
+    # fan_out forks its workers with the interrupts blocked.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
 
 
 def _pool_context():
@@ -204,10 +212,16 @@ def fan_out(
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=ctx, initializer=_pool_initializer
     )
+    # The first submit forks the workers before it starts the manager
+    # thread that shutdown joins: an interrupt in between leaves a pool
+    # that can be neither joined nor stopped.  Block interrupts until every
+    # task is submitted; one that arrived meanwhile is raised on unblocking.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
     try:
         futures = {
             pool.submit(func, task): i for i, task in enumerate(tasks)
         }
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for future in as_completed(futures):
             index = futures[future]
             exc = future.exception()
@@ -220,11 +234,13 @@ def fan_out(
                 failed.append(index)
                 if isinstance(exc, BrokenProcessPool):
                     crashes += 1
-    except KeyboardInterrupt:
-        pool.shutdown(wait=True, cancel_futures=True)
-        raise
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        # Reap the pool before restoring the mask: a submit that raised
+        # leaves interrupts blocked, and one pending is raised on restore.
+        try:
+            pool.shutdown(wait=True, cancel_futures=True)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     for index in sorted(failed):
         try:

@@ -10,6 +10,10 @@ never a hang or a different digest.
 import io
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +59,8 @@ int main(void) {
 
 MINI = Workload(name="mini", source=MINI_SOURCE, stdin=b"abcdefgh")
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="crash seam kills fork workers via os._exit",
@@ -99,8 +105,6 @@ class TestPlanChunks:
 
 class TestResolveWorkers:
     def test_zero_means_per_core(self):
-        import os
-
         assert resolve_workers(0) == (os.cpu_count() or 1)
 
     def test_identity_above_zero(self):
@@ -143,6 +147,101 @@ class TestFanOut:
         dump = registry.to_dict()
         assert dump["gauges"]["parallel.workers"] == 2
         assert dump["counters"]["parallel.tasks.dispatched"] == 4
+
+
+#: Runs ``fan_out`` in a fresh process whose first pool start is
+#: interrupted after the workers fork and before the manager thread that
+#: shutdown joins has started; prints the outcome and, after up to 5 s,
+#: the number of live worker processes.
+_INTERRUPT_AT_POOL_START = r"""
+import multiprocessing, os, signal, time
+from concurrent.futures import process
+from repro.parallel.engine import fan_out
+
+start = process._ExecutorManagerThread.start
+
+def interrupted_start(self):
+    os.kill(os.getpid(), signal.SIGINT)
+    start(self)
+
+process._ExecutorManagerThread.start = interrupted_start
+try:
+    fan_out(abs, [1, -2, 3, -4], workers=2)
+    outcome = "finished"
+except KeyboardInterrupt:
+    outcome = "KeyboardInterrupt"
+except BaseException as exc:
+    outcome = f"{type(exc).__name__}: {exc}"
+deadline = time.monotonic() + 5
+while multiprocessing.active_children() and time.monotonic() < deadline:
+    time.sleep(0.05)
+print(outcome)
+print(len(multiprocessing.active_children()))
+"""
+
+
+#: Runs ``fan_out`` in a fresh process whose second submit, with the
+#: pool started and a task running, finds an interrupt pending and then
+#: raises; prints the outcome and the number of workers still alive when
+#: the interrupt reached the caller.
+_INTERRUPT_WITH_FAILED_SUBMIT = r"""
+import multiprocessing, os, signal, time
+from concurrent.futures import ProcessPoolExecutor
+from repro.parallel.engine import fan_out
+
+submit = ProcessPoolExecutor.submit
+calls = []
+
+def failing_submit(self, fn, *args, **kwargs):
+    calls.append(fn)
+    if len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGINT)
+        raise RuntimeError("submit failed")
+    return submit(self, fn, *args, **kwargs)
+
+ProcessPoolExecutor.submit = failing_submit
+live = None
+try:
+    fan_out(time.sleep, [0.5, 0.5, 0.5], workers=2)
+    outcome = "finished"
+except KeyboardInterrupt:
+    outcome = "KeyboardInterrupt"
+    live = len(multiprocessing.active_children())
+except BaseException as exc:
+    outcome = f"{type(exc).__name__}: {exc}"
+print(outcome)
+print(live)
+"""
+
+
+def _run_script(script: str) -> list:
+    """Stdout lines of ``script`` run in a fresh interpreter."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH="src"), cwd=REPO_ROOT,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # Orphaned workers keep the interpreter from exiting.
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("interrupted fan_out never exited")
+    return out.split("\n")[:2] + [err]
+
+
+class TestInterruptAtPoolStart:
+    @fork_only
+    def test_interrupt_while_pool_starts_raises_and_reaps_workers(self):
+        *lines, err = _run_script(_INTERRUPT_AT_POOL_START)
+        assert lines == ["KeyboardInterrupt", "0"], err
+
+    @fork_only
+    def test_interrupt_pending_when_submit_raises_reaps_workers_first(self):
+        *lines, err = _run_script(_INTERRUPT_WITH_FAILED_SUBMIT)
+        assert lines == ["KeyboardInterrupt", "0"], err
 
 
 def _double(x):

@@ -438,7 +438,18 @@ class TestChaosInvariants:
             with ServeClient(
                 host=bg.server.host, port=bg.server.port
             ) as client:
+                # Hold the only worker slot for a fixed wall-clock time,
+                # so the queue is still full when the high-priority job
+                # arrives however fast the low-priority jobs would run.
                 ids = [client.submit(
+                    {"kind": "run", "asm": SPIN_ASM, "deadline_s": 2.0,
+                     "max_instructions": 10**12, "id": "hold"}
+                )]
+                deadline = time.monotonic() + 5
+                while client.health()["in_flight"] != 1:
+                    assert time.monotonic() < deadline, "job never started"
+                    time.sleep(0.01)
+                ids += [client.submit(
                     {"kind": "campaign", "builtin": "exp3", "seed": 11,
                      "trials": 3, "priority": "low", "id": f"low-{i}"}
                 ) for i in range(4)]
@@ -448,6 +459,7 @@ class TestChaosInvariants:
                 ))
                 responses = client.collect(ids)
         by_id = {r["job"]["id"]: r for r in responses}
+        assert by_id["hold"]["stats"]["limit"]["reason"] == "wallclock"
         assert by_id["vip"]["kind"] == "run"
         shed = [r for r in responses
                 if r["kind"] == "error" and r["reason"] == "shed"]
@@ -546,11 +558,17 @@ class TestDrain:
             port = int(banner.split("listening on ")[1].split()[0]
                        .rsplit(":", 1)[1])
             with ServeClient(host="127.0.0.1", port=port) as client:
+                # A spin loop bounded by its deadline holds the worker
+                # slot for a fixed wall-clock time, however fast the
+                # simulator runs; signal only once it is in flight.
                 job_id = client.submit(
-                    {"kind": "campaign", "builtin": "exp3", "seed": 11,
-                     "trials": 3, "id": "inflight"}
+                    {"kind": "run", "asm": SPIN_ASM, "deadline_s": 2.0,
+                     "max_instructions": 10**12, "id": "inflight"}
                 )
-                time.sleep(0.3)  # let the job reach the worker
+                deadline = time.monotonic() + 5
+                while client.health()["in_flight"] != 1:
+                    assert time.monotonic() < deadline, "job never started"
+                    time.sleep(0.01)
                 started = time.monotonic()
                 proc.send_signal(signal.SIGTERM)
                 result = client.wait(job_id)
@@ -560,7 +578,8 @@ class TestDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        assert result["kind"] == "campaign"
+        assert result["kind"] == "run"
         assert result["job"]["id"] == "inflight"
+        assert result["stats"]["limit"]["reason"] == "wallclock"
         assert exit_code == 0
         assert drained_in < 10
