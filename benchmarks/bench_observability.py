@@ -27,7 +27,7 @@ import time
 
 from bench_util import save_json, save_report
 
-from repro.api import Session
+from repro.api import ExecOptions, Session
 from repro.attacks.replay import run_executable
 from repro.defenses.policy import PointerTaintPolicy
 from repro.evalx.reporting import render_kv
@@ -53,7 +53,9 @@ def _run_baseline():
 
 
 def _run_session(metrics=False, trace=False):
-    session = Session(policy="paper", metrics=metrics, trace=trace)
+    session = Session(
+        options=ExecOptions(policy="paper", metrics=metrics, trace=trace)
+    )
     return session.run_executable(assemble(_HOT_LOOP))
 
 

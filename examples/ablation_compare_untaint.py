@@ -20,7 +20,7 @@ Run:  python examples/ablation_compare_untaint.py
 from repro.apps.spec import SPEC_WORKLOADS
 from repro.apps.synthetic import vuln_a_scenario
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 
 
 def main() -> None:

@@ -13,8 +13,8 @@ Run:  python examples/annotated_data.py
 """
 
 from repro.apps.synthetic import VULN_B_SOURCE, vuln_b_scenario
-from repro.core.detector import SecurityException
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.alerts import SecurityException
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator
 from repro.kernel.syscalls import Kernel
 from repro.libc.build import build_program

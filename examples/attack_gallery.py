@@ -12,7 +12,7 @@ network application attacks of section 5.1.2 -- under:
 Run:  python examples/attack_gallery.py
 """
 
-from repro.core.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
 from repro.evalx.experiments import all_attack_scenarios, report_coverage_matrix
 
 

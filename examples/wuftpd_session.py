@@ -20,7 +20,7 @@ from repro.apps.wuftpd import (
     uid_address,
     wuftpd_scenario,
 )
-from repro.core.policy import NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import NullPolicy, PointerTaintPolicy
 from repro.evalx.experiments import report_table2
 from repro.kernel.network import ScriptedClient
 from repro.attacks.replay import run_executable

@@ -3,10 +3,12 @@ Taintedness Detection" (Chen, Xu, Nakka, Kalbarczyk, Iyer -- DSN 2005).
 
 The package provides:
 
-* :mod:`repro.core` -- the taintedness model: per-byte taint, the Table 1
-  propagation rules, dereference detection, and the detection policies
-  (the paper's pointer-taintedness policy plus the Minos/SPE-style
-  control-data-only baseline);
+* :mod:`repro.core`, :mod:`repro.taint`, :mod:`repro.defenses` -- the
+  taintedness model: the event bus and Table 1 propagation rules
+  (``core``), per-byte taint and provenance labels (``taint``), and
+  dereference detection with its policies (``defenses``: the paper's
+  pointer-taintedness policy, the Minos/SPE-style control-data-only
+  baseline, and the shadow-stack/PAC comparators);
 * :mod:`repro.isa`, :mod:`repro.mem`, :mod:`repro.cpu` -- the
   SimpleScalar-like simulated machine: MIPS-like ISA with assembler and
   encoder, taint-extended memory/caches/registers, functional and 5-stage
@@ -37,8 +39,9 @@ Quickstart (the stable facade)::
     assert result.detected   # tainted return address caught at jr $ra
     print(result.to_json()["metrics"]["counters"]["run.instructions"])
 
-The pre-facade helpers (``run_minic``/``run_executable``) remain
-importable as stable shims.
+Execution knobs have one spelling, ``options=ExecOptions(...)``.  The
+low-level replay harness (``run_minic``/``run_executable``) is exported
+too; it runs one program with no metrics or trace wiring.
 """
 
 from .api import (

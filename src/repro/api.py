@@ -10,10 +10,8 @@ unifies them:
 * one place to pick the **policy** (by name or instance), the **engine**
   (``"functional"`` or ``"pipeline"``), and the cache model -- all
   carried by one validated :class:`ExecOptions` bundle
-  (``Session(options=ExecOptions(...))``); the flat per-call kwargs the
-  repo grew up with keep working as deprecated aliases routed through a
-  single normalization site (:func:`_normalize_options`), each warning
-  once per process;
+  (``Session(options=ExecOptions(...))``), the only spelling of an
+  execution knob;
 * one place to attach **observability**: a
   :class:`~repro.obs.metrics.MetricsRegistry` (``metrics=True`` or your
   own registry) and a structured **trace** (ring buffer and/or streaming
@@ -32,15 +30,14 @@ Quickstart::
     assert result.detected
     print(result.to_json()["metrics"]["counters"]["run.instructions"])
 
-The pre-facade entry points (``repro.run_minic``/``run_executable``, the
-raw ``FaultCampaign``) remain importable as thin, stable shims; new code
-should use the facade.
+The low-level entry points (``repro.run_minic``/``run_executable``, the
+raw ``FaultCampaign``) stay importable for code that wants no
+observability wiring; everything else should use the facade.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
@@ -142,38 +139,13 @@ class TraceConfig:
         raise TypeError(f"cannot build a TraceConfig from {value!r}")
 
 
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: normalization site only overrides options fields the caller spelled out.
-_UNSET = object()
-
-#: Legacy kwarg names that have already warned this process (the
-#: acceptance contract is "warn exactly once", not once per call site).
-_warned_legacy_kwargs: set = set()
-
-
-def _warn_legacy_kwarg(name: str) -> None:
-    if name in _warned_legacy_kwargs:
-        return
-    _warned_legacy_kwargs.add(name)
-    warnings.warn(
-        f"the {name}= kwarg is a deprecated alias; pass "
-        f"options=ExecOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 @dataclass(frozen=True)
 class ExecOptions:
     """Every execution knob, validated once, in one bundle.
 
-    Before this class, the same knobs were spelled as drifting per-call
-    kwargs across :class:`Session`, the replay harness
-    (``use_pipeline=``), :class:`~repro.fault.campaign.CampaignConfig`,
-    the CLI flags, and the serve request schema.  ``ExecOptions`` is the
-    one shape they all normalize into; the legacy kwargs keep working as
-    deprecated aliases routed through :func:`_normalize_options` (and
-    warn once per process).
+    :class:`Session`, the CLI flags, and the serve request schema all
+    normalize into this one shape; it is the only way to hand an
+    execution knob to a :class:`Session` or one of its ``run_*`` calls.
 
     Fields:
         engine: ``"functional"`` or ``"pipeline"``.
@@ -188,7 +160,7 @@ class ExecOptions:
         metrics: ``True`` for a fresh registry, or a shared
             :class:`MetricsRegistry`.
         trace: ``True`` (ring only), a JSONL path, or a
-            :class:`TraceConfig` (the coarse legacy spelling).
+            :class:`TraceConfig`.
         trace_out: JSONL path for the streamed trace (overrides
             ``trace``'s path).
         trace_events: event-type selection for the trace (see
@@ -285,49 +257,25 @@ class ExecOptions:
         )
 
 
-def _normalize_options(
-    options: Union[None, dict, ExecOptions],
-    legacy: Dict[str, Any],
-    base: Optional[ExecOptions] = None,
-    new: Optional[Dict[str, Any]] = None,
-) -> ExecOptions:
-    """THE one legacy-kwarg normalization site.
+#: Execution knobs that :class:`Session` sets from its options and that
+#: must therefore never arrive as plain kwargs: each target accepts these
+#: names natively, so a stray one would otherwise be silently overwritten.
+_RUN_KNOBS = frozenset((
+    "use_pipeline", "use_caches", "taint_labels", "max_instructions",
+    "defense", "superblocks",
+))
+_CAMPAIGN_KNOBS = frozenset((
+    "engine", "use_caches", "taint_labels", "superblocks", "workers",
+))
 
-    Every entry point -- ``Session()``, ``run_minic``/``run_executable``,
-    ``run_campaign``, ``run_experiment``, the CLI, the serve workers --
-    funnels through here, so alias translation and deprecation warnings
-    cannot drift between layers.
 
-    ``options`` wins wholesale when given; mixing it with per-call kwargs
-    raises, because a silent merge would make precedence ambiguous.
-    Otherwise each ``legacy`` kwarg warns once per process
-    (:class:`DeprecationWarning`) and overrides ``base`` (the session's
-    options, or the defaults).  ``use_pipeline`` is translated onto
-    ``engine``; a legacy ``trace=`` spec replaces the whole trace trio.
-    ``new`` carries the non-deprecated spellings (``superblocks=``),
-    which override without warning.
-    """
-    new = new or {}
-    if options is not None:
-        if legacy or new:
-            mixed = sorted(list(legacy) + list(new))
-            raise ValueError(
-                f"pass either options= or individual kwargs, not both "
-                f"(got options= plus {mixed})"
-            )
-        return ExecOptions.coerce(options)
-    opts = base if base is not None else ExecOptions()
-    overrides: Dict[str, Any] = {}
-    for name, value in legacy.items():
-        _warn_legacy_kwarg(name)
-        if name == "use_pipeline":
-            overrides["engine"] = "pipeline" if value else "functional"
-        elif name == "trace":
-            overrides.update(trace=value, trace_out=None, trace_events=None)
-        else:
-            overrides[name] = value
-    overrides.update(new)
-    return opts.merged(**overrides)
+def _reject_knobs(where: str, kwargs: Dict[str, Any], knobs) -> None:
+    flat = sorted(knobs.intersection(kwargs))
+    if flat:
+        raise TypeError(
+            f"{where}() got execution knob(s) {flat} as plain kwargs; "
+            f"pass options=ExecOptions(...) instead"
+        )
 
 
 @dataclass
@@ -587,104 +535,30 @@ def validate_result_json(payload: Any) -> dict:
 class Session:
     """The stable entry point for everything this repo can run.
 
-    The preferred construction is one validated options bundle::
+    Every execution knob comes from one validated options bundle::
 
         Session(options=ExecOptions(policy="paper", metrics=True))
 
-    Every individual kwarg below keeps working as a **deprecated alias**
-    (it warns once per process and routes through the same
-    :func:`_normalize_options` site), so pre-ExecOptions callers and
-    tests are untouched.  Passing ``options=`` together with individual
-    kwargs raises.
+    See :class:`ExecOptions` for the fields: policy, engine, defense,
+    taint mode, caches, superblocks, metrics, trace, workers, and the
+    instruction budget.  A metrics registry (``metrics=True`` or a shared
+    :class:`MetricsRegistry`) accumulates across this session's runs.
+    With the default ``policy`` and a pluggable ``defense``, the machine
+    runs under the defense's own default policy (comparators run
+    unprotected so the inline taintedness check cannot preempt them); an
+    explicit policy overrides that.  Each ``run_*`` method takes a
+    per-call ``options=`` that replaces the session's for that call.
 
     Args:
-        policy: detection policy -- alias (``"paper"``,
-            ``"control-data"``, ``"none"``), instance, or factory.
-        engine: ``"functional"`` (fast interpreter) or ``"pipeline"``
-            (cycle-level five-stage model).
-        use_caches: route data accesses through the taint-carrying L1/L2
-            hierarchy.
-        metrics: ``True`` for a fresh :class:`MetricsRegistry`, or pass
-            a registry to share one across sessions.  Counters accumulate
-            across this session's runs.
-        trace: ``True`` (ring only), a JSONL path, or a
-            :class:`TraceConfig`.
-        max_instructions: default per-run watchdog budget.
-        taint_labels: run the taint plane in **label mode** -- every
-            external-input copy-in is tagged with a provenance label
-            (``read(fd=4) bytes 96..99``) and detection alerts carry the
-            tainting input's byte ranges (``alert.provenance``, surfaced
-            in ``to_json()["stats"]["provenance"]``).  Detection verdicts
-            and statistics are identical to the default bit mode.
-        defense: pluggable defense to attach to every run -- a registry
-            name (``"taintedness"``, ``"shadow-stack"``, ``"pac"``) or a
-            built :class:`repro.defenses.Detector`.  With the session's
-            default ``policy`` the machine runs under the defense's own
-            default policy (comparators run unprotected so the inline
-            taintedness check cannot preempt them); an explicit policy
-            overrides that.
-        superblocks: enable the fused superblock dispatch tier
-            (default on; results are byte-identical either way).  Not a
-            legacy alias -- never warns.
-        workers: default process-pool fan-out for campaigns and
-            experiments.  Not a legacy alias.
-        trace_out / trace_events: the flat trace spellings (the CLI's
-            ``--trace-out``/``--trace-events``).  Not legacy aliases.
-        options: an :class:`ExecOptions` (or a dict of its fields)
-            carrying all of the above in one validated bundle.
+        options: an :class:`ExecOptions`, a dict of its fields, or None
+            for the defaults.
     """
 
     def __init__(
-        self,
-        policy: Union[None, str, DetectionPolicy, Callable] = _UNSET,
-        engine: str = _UNSET,
-        use_caches: bool = _UNSET,
-        metrics: Union[None, bool, MetricsRegistry] = _UNSET,
-        trace: Union[None, bool, str, TraceConfig] = _UNSET,
-        max_instructions: int = _UNSET,
-        taint_labels: bool = _UNSET,
-        defense: Union[None, str, Detector] = _UNSET,
-        *,
-        superblocks: bool = _UNSET,
-        workers: int = _UNSET,
-        trace_out: Optional[str] = _UNSET,
-        trace_events: Union[None, str, Sequence] = _UNSET,
-        options: Union[None, dict, ExecOptions] = None,
+        self, *, options: Union[None, dict, ExecOptions] = None
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("policy", policy),
-                ("engine", engine),
-                ("use_caches", use_caches),
-                ("metrics", metrics),
-                ("trace", trace),
-                ("max_instructions", max_instructions),
-                ("taint_labels", taint_labels),
-                ("defense", defense),
-            )
-            if value is not _UNSET
-        }
-        new = {
-            name: value
-            for name, value in (
-                ("superblocks", superblocks),
-                ("workers", workers),
-                ("trace_out", trace_out),
-                ("trace_events", trace_events),
-            )
-            if value is not _UNSET
-        }
-        opts = _normalize_options(options, legacy, new=new)
-        #: The session's normalized :class:`ExecOptions` bundle.
-        self.options = opts
-        self.policy_spec = opts.policy
-        self.defense = opts.defense
-        self.engine = opts.engine
-        self.use_caches = opts.use_caches
-        self.taint_labels = opts.taint_labels
-        self.superblocks = opts.superblocks
-        self.workers = opts.workers
+        #: The session's validated :class:`ExecOptions` bundle.
+        self.options = opts = ExecOptions.coerce(options)
         metrics_value = opts.metrics
         if metrics_value is True:
             metrics_value = MetricsRegistry()
@@ -692,10 +566,15 @@ class Session:
             metrics_value = None
         self.metrics: Optional[MetricsRegistry] = metrics_value
         self.trace = opts.trace_config()
-        self.max_instructions = opts.max_instructions
         #: The most recent run's trace recorder (ring buffer inspection).
         self.last_trace: Optional[TraceRecorder] = None
         self._trace_paths_opened: set = set()
+
+    def _options_for(
+        self, options: Union[None, dict, ExecOptions]
+    ) -> ExecOptions:
+        """A per-call ``options=`` replaces the session's wholesale."""
+        return self.options if options is None else ExecOptions.coerce(options)
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -754,13 +633,6 @@ class Session:
     # run: single executions (replaces ad-hoc run_minic/run_executable)
     # ------------------------------------------------------------------
 
-    #: ``run_*`` kwargs that are deprecated aliases for ExecOptions
-    #: fields (``use_pipeline`` is the pre-ExecOptions engine spelling).
-    _RUN_LEGACY = (
-        "use_pipeline", "use_caches", "taint_labels", "max_instructions",
-        "defense",
-    )
-
     def run_executable(
         self,
         exe: Executable,
@@ -774,24 +646,13 @@ class Session:
         Keyword arguments (``stdin``, ``argv``, ``clients``,
         ``filesystem``, ``subscribers``, ``record_events``, ...) are the
         replay harness's.  Execution knobs come from the session's
-        :class:`ExecOptions`; a per-call ``options=`` replaces them for
-        this run, and the pre-ExecOptions per-call kwargs
-        (``use_pipeline``, ``use_caches``, ``taint_labels``,
-        ``max_instructions``, ``defense``) keep working as deprecated
-        aliases.
+        :class:`ExecOptions` or a per-call ``options=``; passing one as
+        a plain kwarg (``use_pipeline=``, ``use_caches=``,
+        ``taint_labels=``, ``max_instructions=``, ``defense=``,
+        ``superblocks=``) raises ``TypeError``.
         """
-        legacy = {
-            name: kwargs.pop(name)
-            for name in self._RUN_LEGACY
-            if name in kwargs
-        }
-        if legacy.get("defense", _UNSET) is None:
-            # defense=None always meant "inherit the session default".
-            legacy.pop("defense", None)
-        new = {}
-        if "superblocks" in kwargs:
-            new["superblocks"] = kwargs.pop("superblocks")
-        opts = _normalize_options(options, legacy, base=self.options, new=new)
+        _reject_knobs("run_executable", kwargs, _RUN_KNOBS)
+        opts = self._options_for(options)
         kwargs["max_instructions"] = opts.max_instructions
         kwargs["use_caches"] = opts.use_caches
         kwargs["use_pipeline"] = opts.engine == "pipeline"
@@ -822,8 +683,10 @@ class Session:
 
         ``opt_level`` selects the MiniC backend: 0 is the legacy oracle
         codegen, 1 the IR optimization pipeline (same verdicts, fewer
-        dynamic instructions).
+        dynamic instructions).  Other kwargs are
+        :meth:`run_executable`'s.
         """
+        _reject_knobs("run_minic", kwargs, _RUN_KNOBS)
         return self.run_executable(
             build_program(source, opt_level=opt_level), policy, **kwargs
         )
@@ -853,12 +716,14 @@ class Session:
         :class:`CampaignConfig` (``seed``, ``trials``, ``recovery``,
         ``kinds``, ...).  Execution knobs (``engine``, ``use_caches``,
         ``taint_labels``, ``superblocks``, ``workers``) come from the
-        session's :class:`ExecOptions` or a per-call ``options=``; the
-        flat spellings keep working as deprecated aliases.
-        ``workers=N`` runs the trials on the :mod:`repro.parallel`
-        process pool (``0`` = one worker per core) with a byte-identical
-        digest; the result then carries a ``stats.parallel`` summary.
+        session's :class:`ExecOptions` or a per-call ``options=``;
+        passing one as a plain kwarg raises ``TypeError``.
+        ``ExecOptions(workers=N)`` runs the trials on the
+        :mod:`repro.parallel` process pool (``0`` = one worker per core)
+        with a byte-identical digest; the result then carries a
+        ``stats.parallel`` summary.
         """
+        _reject_knobs("run_campaign", config_kwargs, _CAMPAIGN_KNOBS)
         given = [x is not None for x in (source, builtin, workload)]
         if sum(given) != 1:
             raise ValueError(
@@ -874,15 +739,7 @@ class Session:
                 stdin=stdin,
                 argv=tuple(argv),
             )
-        legacy = {
-            key: config_kwargs.pop(key)
-            for key in ("engine", "use_caches", "taint_labels", "workers")
-            if key in config_kwargs
-        }
-        new = {}
-        if "superblocks" in config_kwargs:
-            new["superblocks"] = config_kwargs.pop("superblocks")
-        opts = _normalize_options(options, legacy, base=self.options, new=new)
+        opts = self._options_for(options)
         config_kwargs["engine"] = opts.engine
         config_kwargs["use_caches"] = opts.use_caches
         config_kwargs["taint_labels"] = opts.taint_labels
@@ -927,7 +784,6 @@ class Session:
         self,
         name: str,
         render: bool = True,
-        workers: Optional[int] = None,
         *,
         options: Union[None, dict, ExecOptions] = None,
     ) -> ExperimentResult:
@@ -937,9 +793,8 @@ class Session:
         ``table2``, ``table3``, ``table4``, ``sec54``, ``coverage``,
         ``matrix``).
         With ``render=True`` the paper-style text report is included.
-        ``workers=N`` (a deprecated alias for
-        ``options=ExecOptions(workers=N)``; the session's options supply
-        the default) fans row-independent artifacts out to the
+        ``ExecOptions.workers`` (the session's, or a per-call
+        ``options=``) fans row-independent artifacts out to the
         :mod:`repro.parallel` process pool (``0`` = one per core);
         rendered tables are byte-identical to serial runs.  ``fig1``
         (static data) and ``sec54`` (wall-clock measurement) always run
@@ -963,9 +818,7 @@ class Session:
             raise ValueError(
                 f"unknown experiment {name!r}; choose from {sorted(adapters)}"
             )
-        legacy = {} if workers is None else {"workers": workers}
-        opts = _normalize_options(options, legacy, base=self.options)
-        workers = opts.workers
+        workers = self._options_for(options).workers
         timer = (
             self.metrics.timer(f"experiment.{name}.seconds").start()
             if self.metrics is not None

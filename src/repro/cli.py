@@ -211,14 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "digest is byte-identical to the serial -j 1 run",
     )
     campaign_parser.add_argument(
-        "--legacy-restore", action="store_true",
-        help="disable the copy-on-write delta checkpoint and the "
-             "fast-trigger path: every rollback pays the eager full-copy "
-             "restore and faults fire from the legacy event injector "
-             "(digest-identical to the default; used by the CI "
-             "equivalence gate)",
-    )
-    campaign_parser.add_argument(
         "--smoke", action="store_true",
         help="CI gate: exit non-zero unless the campaign classified every "
              "trial and detected at least one fault",
@@ -458,9 +450,6 @@ def _command_campaign(args: argparse.Namespace, out=sys.stdout) -> int:
         recovery=args.recovery,
         kinds=tuple(args.kind) if args.kind else FAULT_KINDS,
     )
-    if args.legacy_restore:
-        kwargs["delta_restore"] = False
-        kwargs["fast_triggers"] = False
     try:
         if args.builtin is not None:
             result = session.run_campaign(builtin=args.builtin, **kwargs)
@@ -610,10 +599,10 @@ _INTERRUPTIBLE = ("campaign", "report", "matrix")
 def _run_interruptible(command: str, fn: Callable[[], int]) -> int:
     """Run ``fn`` with SIGTERM mapped to ``KeyboardInterrupt``.
 
-    Interrupting a fanned-out command cancels the worker pool promptly
-    (``fan_out`` shuts its executor down with ``cancel_futures=True`` on
-    ``KeyboardInterrupt``), reports partial progress on stderr, and exits
-    with the conventional 130 instead of a traceback.
+    Interrupting a fanned-out command stops the worker pool promptly
+    (on ``KeyboardInterrupt`` ``fan_out`` kills its workers and cancels
+    queued chunks), reports partial progress on stderr, and exits with
+    the conventional 130 instead of a traceback.
     """
     def _on_term(signum, frame):  # pragma: no cover - exercised via subprocess
         raise KeyboardInterrupt

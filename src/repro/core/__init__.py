@@ -1,14 +1,10 @@
-"""Core pointer-taintedness model: taint algebra, propagation, detection.
+"""Core pointer-taintedness model: events, propagation, annotations.
 
-The event layer (:mod:`repro.core.events`) is this package's one
-remaining canonical module and is imported eagerly.  Everything else
-here is a **compatibility surface**: the taint bits moved to
-:mod:`repro.taint`, the detector and policies to :mod:`repro.defenses`.
-Those names resolve lazily (PEP 562), routed straight to their real
-homes -- so ``from repro.core import PointerTaintPolicy`` keeps working
-*without* importing the deprecated ``repro.core.policy``/``.detector``/
-``.taint`` shim modules (which warn on import and exist only for
-out-of-tree callers that import them by path).
+:mod:`repro.core.events` (the typed event bus both engines publish to)
+is re-exported here.  :mod:`repro.core.propagation` holds the Table 1
+rules and :mod:`repro.core.annotations` the section 5.3 watchpoints.
+The taint bits live in :mod:`repro.taint`, the detector and policies in
+:mod:`repro.defenses`.
 """
 
 from .events import (
@@ -25,35 +21,7 @@ from .events import (
     TrialCompleted,
 )
 
-#: Lazy attribute -> (module, attribute) in its canonical home.
-_LAZY_EXPORTS = {
-    # old repro.core.detector surface
-    "Alert": ("repro.defenses.alerts", "Alert"),
-    "SecurityException": ("repro.defenses.alerts", "SecurityException"),
-    "KIND_JUMP": ("repro.defenses.alerts", "KIND_JUMP"),
-    "KIND_LOAD": ("repro.defenses.alerts", "KIND_LOAD"),
-    "KIND_STORE": ("repro.defenses.alerts", "KIND_STORE"),
-    "TaintednessDetector": ("repro.defenses.taintedness",
-                            "TaintednessDetector"),
-    # old repro.core.policy surface
-    "ControlDataPolicy": ("repro.defenses.policy", "ControlDataPolicy"),
-    "DetectionPolicy": ("repro.defenses.policy", "DetectionPolicy"),
-    "NullPolicy": ("repro.defenses.policy", "NullPolicy"),
-    "PointerTaintPolicy": ("repro.defenses.policy", "PointerTaintPolicy"),
-    # old repro.core.taint surface
-    "CLEAN": ("repro.taint.bits", "CLEAN"),
-    "WORD_TAINTED": ("repro.taint.bits", "WORD_TAINTED"),
-    "TaintVector": ("repro.taint.bits", "TaintVector"),
-    "word_mask_is_tainted": ("repro.taint.bits", "word_mask_is_tainted"),
-}
-
 __all__ = [
-    "Alert",
-    "SecurityException",
-    "TaintednessDetector",
-    "KIND_JUMP",
-    "KIND_LOAD",
-    "KIND_STORE",
     "EVENT_TYPES",
     "EventBus",
     "EventLog",
@@ -65,30 +33,4 @@ __all__ = [
     "SyscallExit",
     "TaintPropagated",
     "TaintedDereference",
-    "ControlDataPolicy",
-    "DetectionPolicy",
-    "NullPolicy",
-    "PointerTaintPolicy",
-    "CLEAN",
-    "WORD_TAINTED",
-    "TaintVector",
-    "word_mask_is_tainted",
 ]
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    from importlib import import_module
-
-    value = getattr(import_module(module_name), attr)
-    globals()[name] = value  # cache: resolve each name at most once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

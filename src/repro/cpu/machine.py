@@ -31,6 +31,7 @@ from ..defenses.policy import DetectionPolicy, PointerTaintPolicy
 from ..defenses.taintedness import TaintednessDetector
 from ..isa.program import Executable
 from ..mem.cache import CacheHierarchy
+from ..mem.cow import CowCapture
 from ..mem.layout import STACK_TOP
 from ..mem.registers import RegisterFile
 from ..mem.tainted_memory import TaintedMemory
@@ -80,43 +81,17 @@ class SimulatorFault(Exception):
 
 @dataclass(frozen=True)
 class MachineSnapshot:
-    """An immutable checkpoint of one machine's architectural state.
-
-    Produced by :meth:`MachineState.snapshot`; cheap to hold and to restore
-    repeatedly, which is what lets a fault campaign fork one golden run
-    into hundreds of fault trials without rebuilding the simulator.
-    """
-
-    pc: int
-    halted: bool
-    exit_status: Optional[int]
-    regs: Tuple
-    memory: Tuple[Dict[int, bytes], int]
-    #: All shadow-taint state (memory taint pages, register taint masks,
-    #: and in label mode the provenance sidecars), captured once via
-    #: ``TaintPlane.snapshot()``.
-    taint: Tuple
-    caches: Optional[Tuple]
-    stats: ExecutionStats
-    recent_pcs: Tuple[int, ...]
-    alerts: Tuple
-    watchpoints: Tuple
-
-
-@dataclass(frozen=True)
-class MachineCowSnapshot:
     """A delta checkpoint: eager scalars plus a live COW page capture.
 
-    Produced by :meth:`MachineState.snapshot_cow`.  The scalar machine
-    state (registers, PC, stats, caches...) is small and copied eagerly
-    exactly like :class:`MachineSnapshot`; the page-sized state (memory
-    data, shadow taint, label sidecar) lives in the shared
-    :class:`~repro.mem.cow.CowCapture`, which the memory hot paths fill
-    copy-on-write so :meth:`MachineState.restore_cow` only rewrites
-    dirtied pages.  Valid for delta restore only while its capture is
-    still the machine's active one; once displaced the capture degrades
-    to a completed full snapshot and restore falls back to the legacy
-    path (see :mod:`repro.mem.cow`).
+    Produced by :meth:`MachineState.snapshot`.  The scalar machine state
+    (registers, PC, stats, caches...) is small and copied eagerly; the
+    page-sized state (memory data, shadow taint, label sidecar) lives in
+    the shared :class:`~repro.mem.cow.CowCapture`, which the memory hot
+    paths fill copy-on-write so :meth:`MachineState.restore` only
+    rewrites dirtied pages.  Valid only while its capture is still the
+    machine's active one: a later :meth:`MachineState.snapshot` makes it
+    stale, and restoring a stale snapshot raises ``ValueError`` (see
+    :mod:`repro.mem.cow`).
     """
 
     pc: int
@@ -129,7 +104,7 @@ class MachineCowSnapshot:
     alerts: Tuple
     watchpoints: Tuple
     #: Shared delta capture holding baselines + dirty/fresh sets.
-    cow: object = None
+    cow: CowCapture
 
 
 class MachineState:
@@ -321,70 +296,22 @@ class MachineState:
     # checkpoint / rollback
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> "MachineSnapshot":
-        """Capture the complete architectural state of this machine.
-
-        Covers register values, memory data pages, the whole taint plane
-        (memory taint pages + register taint masks + label sidecars,
-        captured exactly once via ``plane.snapshot()``), the cache
-        hierarchy when enabled, the PC, halt state, execution statistics,
-        detector alerts, watchpoints, and the recent-PC ring.  The event
-        bus and its subscribers are deliberately *not* captured: observers
-        persist across rollback.
-        """
-        return MachineSnapshot(
-            pc=self.pc,
-            halted=self.halted,
-            exit_status=self.exit_status,
-            regs=self.regs.snapshot(),
-            memory=self.memory.snapshot(),
-            taint=self.plane.snapshot(),
-            caches=self.caches.snapshot() if self.caches is not None else None,
-            stats=self.stats.clone(),
-            recent_pcs=tuple(self.recent_pcs),
-            alerts=tuple(self.detector.alerts),
-            watchpoints=tuple(self.watchpoints),
-        )
-
-    def restore(self, snapshot: "MachineSnapshot") -> None:
-        """Roll the machine back to a snapshot.
-
-        Every restored container is mutated *in place* -- the predecoded
-        executor bindings close over the live register lists, the stats
-        object, and the memory/cache objects, so rollback must never swap
-        those objects out.  After ``restore`` the same bound program can be
-        re-run without re-binding.
-        """
-        if (snapshot.caches is None) != (self.caches is None):
-            raise ValueError(
-                "snapshot/machine cache configuration mismatch"
-            )
-        self.pc = snapshot.pc
-        self.halted = snapshot.halted
-        self.exit_status = snapshot.exit_status
-        self.regs.restore(snapshot.regs)
-        self.plane.restore(snapshot.taint)
-        self.memory.restore(snapshot.memory)
-        if self.caches is not None and snapshot.caches is not None:
-            self.caches.restore(snapshot.caches)
-        self.stats.restore(snapshot.stats)
-        self.recent_pcs.clear()
-        self.recent_pcs.extend(snapshot.recent_pcs)
-        self.detector.alerts[:] = snapshot.alerts
-        self.watchpoints.restore(snapshot.watchpoints)
-
-    def snapshot_cow(self) -> "MachineCowSnapshot":
+    def snapshot(self) -> MachineSnapshot:
         """Capture a delta checkpoint (O(mapped pages) scan, no copies).
 
-        Scalars are copied eagerly as in :meth:`snapshot`; page-sized
-        state is tracked copy-on-write by the new
-        :class:`~repro.mem.cow.CowCapture` this installs as the
-        machine's active capture (displacing -- and completing -- any
-        previous one).  Restore via :meth:`restore_cow`.
+        Registers, the PC, halt state, execution statistics, the cache
+        hierarchy when enabled, detector alerts, watchpoints and the
+        recent-PC ring are copied eagerly; page-sized state (memory data,
+        the taint plane's pages and label sidecar) is tracked
+        copy-on-write by the new :class:`~repro.mem.cow.CowCapture` this
+        installs as the machine's active capture.  Any earlier snapshot
+        of this machine goes stale.  The event bus and its subscribers
+        are deliberately *not* captured: observers persist across
+        rollback.
         """
         cow = self.memory.begin_cow()
         self.plane.begin_cow(cow)
-        return MachineCowSnapshot(
+        return MachineSnapshot(
             pc=self.pc,
             halted=self.halted,
             exit_status=self.exit_status,
@@ -397,42 +324,27 @@ class MachineState:
             cow=cow,
         )
 
-    def restore_cow(self, snapshot: "MachineCowSnapshot") -> None:
-        """Roll back to a delta checkpoint.
+    def restore(self, snapshot: MachineSnapshot) -> None:
+        """Roll the machine back to a snapshot, in place.
 
-        Fast path (the snapshot's capture is still this machine's active
-        one): drop pages materialized since capture, rewrite only dirtied
-        pages from their baselines, reinstall the captured summaries, and
-        reset the dirty tracking -- the capture stays armed for the next
-        trial.  Displaced captures were completed into full snapshots at
-        displacement time and restore through the legacy path (same
-        observable state, full-copy cost).
+        Drops pages materialized since capture, rewrites only dirtied
+        pages from their baselines, reinstalls the captured summaries and
+        resets the dirty tracking -- the capture stays armed for the next
+        rollback.  Every restored container is mutated *in place*: the
+        predecoded executor bindings close over the live register lists,
+        the stats object, and the memory/cache objects, so rollback must
+        never swap those objects out.
+
+        Raises ``ValueError`` before touching any state when the snapshot
+        is stale (a later :meth:`snapshot` displaced its capture) or was
+        taken on another machine.
         """
         cow = snapshot.cow
         if self.memory._cow is not cow:
-            if not cow.completed:
-                raise ValueError(
-                    "displaced delta checkpoint was never completed"
-                )
-            self.restore(
-                MachineSnapshot(
-                    pc=snapshot.pc,
-                    halted=snapshot.halted,
-                    exit_status=snapshot.exit_status,
-                    regs=snapshot.regs,
-                    memory=cow.full_memory,
-                    taint=cow.full_taint,
-                    caches=snapshot.caches,
-                    stats=snapshot.stats,
-                    recent_pcs=snapshot.recent_pcs,
-                    alerts=snapshot.alerts,
-                    watchpoints=snapshot.watchpoints,
-                )
-            )
-            return
-        if (snapshot.caches is None) != (self.caches is None):
             raise ValueError(
-                "snapshot/machine cache configuration mismatch"
+                "stale snapshot: its capture is not this machine's active "
+                "one (a later snapshot() displaced it, or another machine "
+                "took it)"
             )
         self.pc = snapshot.pc
         self.halted = snapshot.halted
@@ -441,7 +353,7 @@ class MachineState:
         self.memory.restore_cow(cow)
         self.plane.restore_cow(cow)
         cow.clear_dirty()
-        if self.caches is not None and snapshot.caches is not None:
+        if self.caches is not None:
             self.caches.restore(snapshot.caches)
         self.stats.restore(snapshot.stats)
         self.recent_pcs.clear()

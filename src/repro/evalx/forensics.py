@@ -100,8 +100,8 @@ def provenance_report(result: RunResult) -> str:
     if not alert.provenance:
         return (
             "no provenance labels recorded; re-run in label mode "
-            "(Session(taint_labels=True) or `repro forensics`) to "
-            "attribute tainted bytes to their input"
+            "(Session(options=ExecOptions(taint_labels=True)) or "
+            "`repro forensics`) to attribute tainted bytes to their input"
         )
     parts = [
         f"pointer at pc={alert.pc:#x} "

@@ -219,11 +219,6 @@ class CampaignConfig:
     instruction_slack: float = 4.0
     max_seconds: float = 30.0
     reuse_snapshots: bool = True
-    #: Capture the pre-run checkpoint as a copy-on-write delta snapshot
-    #: (restore rewrites only the pages a trial dirtied).  ``False``
-    #: forces the legacy eager full copy.  Orthogonal to trial outcomes:
-    #: the campaign digest is identical either way (asserted in CI).
-    delta_restore: bool = True
     #: Resolve insn/pc triggers to exact retirement indices against the
     #: golden run and execute the pre-fire prefix as one fused
     #: ``run(max_instructions=fire_at)`` burst instead of single-stepping
@@ -540,9 +535,9 @@ class FaultCampaign:
         """May this campaign build and use the epoch ladder?
 
         The ladder fast-forwards trials *past* the deterministic golden
-        prefix, so it needs both delta-restore plumbing (the deltas are
-        keyed by the checkpoint's live dirty sets) and the fast-trigger
-        path (legacy event injectors count occurrences from run start).
+        prefix, so it needs a reused checkpoint (the deltas are keyed by
+        its live dirty sets) and the fast-trigger path (legacy event
+        injectors count occurrences from run start).
         Label mode is excluded: an epoch would also have to carry a
         label-table segment to replay; those campaigns keep the plain
         fast-trigger path, whose digests are pinned identical anyway.
@@ -550,7 +545,6 @@ class FaultCampaign:
         config = self.config
         return (
             config.fast_triggers
-            and config.delta_restore
             and config.reuse_snapshots
             and config.engine == "functional"
             and not config.taint_labels
@@ -580,7 +574,7 @@ class FaultCampaign:
                 ):
                     raise  # a genuine watchdog trip, not a stride pause
                 epoch = self._capture_epoch(sim, kernel)
-                if epoch is None or spent + epoch.nbytes > _EPOCH_BYTE_BUDGET:
+                if spent + epoch.nbytes > _EPOCH_BYTE_BUDGET:
                     stride = _GOLDEN_BUDGET
                     continue
                 epochs.append(epoch)
@@ -591,12 +585,10 @@ class FaultCampaign:
         self._epoch_list = epochs
         return exit_status
 
-    def _capture_epoch(self, sim: Simulator, kernel: Kernel) -> Optional[_Epoch]:
+    def _capture_epoch(self, sim: Simulator, kernel: Kernel) -> _Epoch:
         """Freeze the current mid-golden state as a delta against the
-        pre-run checkpoint (None when no delta capture is active)."""
+        pre-run checkpoint's capture."""
         cow = sim.memory._cow
-        if cow is None:
-            return None
         pages = sim.memory._pages
         taints = sim.memory._taint_pages
         data_delta: Dict[int, bytes] = {}
@@ -648,10 +640,9 @@ class FaultCampaign:
             if page is None:
                 pages[base] = bytearray(content)
                 taints[base] = bytearray(PAGE_SIZE)
-                if cow is not None:
-                    cow.fresh.add(base)
+                cow.fresh.add(base)
                 continue
-            if cow is not None and base not in cow.data_dirty:
+            if base not in cow.data_dirty:
                 cow.data_dirty.add(base)
                 if base not in cow.fresh:
                     cow.data_baseline[base] = bytes(page)
@@ -660,7 +651,7 @@ class FaultCampaign:
             taint = taints.get(base)
             if taint is None:
                 continue
-            if cow is not None and base not in cow.shadow_dirty:
+            if base not in cow.shadow_dirty:
                 cow.shadow_dirty.add(base)
                 if base not in cow.fresh:
                     cow.shadow_baseline[base] = bytes(taint)
@@ -1017,9 +1008,7 @@ class FaultCampaign:
         if self._golden is not None:
             return
         self._sim, self._kernel = self._make_machine()
-        self._checkpoint = Checkpoint(
-            self._sim, self._kernel, cow=self.config.delta_restore
-        )
+        self._checkpoint = Checkpoint(self._sim, self._kernel)
         self._golden = self._golden_run(self._sim, self._kernel)
 
     @property
@@ -1120,9 +1109,7 @@ class FaultCampaign:
                 # fresh machine already stands at the pre-run state, so
                 # the trial performs no rollback of its own.
                 sim, kernel = self._make_machine()
-                checkpoint = Checkpoint(
-                    sim, kernel, cow=self.config.delta_restore
-                )
+                checkpoint = Checkpoint(sim, kernel)
                 trial_subs = sim.events.subscribers(TrialCompleted)
                 trial_checkpoint = None
             outcome, detail, injected = self._run_trial(

@@ -7,20 +7,17 @@ touch -- the architectural machine state, the OS-side process state
 checkpoint and rolls all of it back before every trial.  Restores are
 reusable: the same checkpoint restores any number of times.
 
-By default the machine is captured as a *delta* checkpoint
-(:meth:`~repro.cpu.machine.MachineState.snapshot_cow`): page-sized state
-is tracked copy-on-write and restore rewrites only the pages a trial
+The machine is captured as a *delta* checkpoint
+(:meth:`~repro.cpu.machine.MachineState.snapshot`): page-sized state is
+tracked copy-on-write and restore rewrites only the pages a trial
 dirtied, which is what makes rollback cost proportional to the trial's
-footprint instead of the mapped address space.  ``cow=False`` captures
-the legacy eager full copy.  A delta checkpoint that gets *displaced*
-(a newer checkpoint is captured on the same machine, or a legacy
-full-copy restore runs) is completed into a full snapshot at
-displacement time and keeps restoring correctly through the legacy
-path -- older checkpoints never go stale, they just lose the delta
-speedup (see :mod:`repro.mem.cow`).
+footprint instead of the mapped address space.  A machine has one active
+capture: capturing a newer checkpoint on the same machine makes this one
+stale, and restoring a stale checkpoint raises ``ValueError`` before it
+touches any state (see :mod:`repro.mem.cow`).
 
 Shadow-taint state is *not* captured here separately: the machine
-snapshot serializes the whole :class:`~repro.taint.plane.TaintPlane`
+snapshot covers the whole :class:`~repro.taint.plane.TaintPlane`
 (taint pages, register masks, and the provenance sidecar in label mode)
 exactly once, so checkpoint/rollback works identically in both plane
 modes.
@@ -33,10 +30,6 @@ drops them.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-from ..cpu.machine import MachineCowSnapshot
 
 __all__ = ["Checkpoint"]
 
@@ -51,29 +44,28 @@ class Checkpoint:
             (omit for bare-metal machines with no syscall handler).
         rng: a ``random.Random`` whose stream position should roll back
             together with the machine.
-        cow: capture the machine as a delta (copy-on-write) checkpoint;
-            ``False`` forces the legacy eager full copy.
     """
 
     __slots__ = ("machine", "kernel", "rng_state")
 
-    def __init__(self, sim, kernel=None, rng=None, cow: bool = True) -> None:
-        self.machine = sim.snapshot_cow() if cow else sim.snapshot()
+    def __init__(self, sim, kernel=None, rng=None) -> None:
+        self.machine = sim.snapshot()
         self.kernel = kernel.snapshot() if kernel is not None else None
         self.rng_state = rng.getstate() if rng is not None else None
 
     def restore(self, sim, kernel=None, rng=None) -> None:
         """Roll every captured domain back (in place; see the machine and
-        kernel ``restore`` docstrings for the identity guarantees)."""
-        if isinstance(self.machine, MachineCowSnapshot):
-            sim.restore_cow(self.machine)
-        else:
-            sim.restore(self.machine)
+        kernel ``restore`` docstrings for the identity guarantees).
+
+        Raises ``ValueError`` before touching any state when a requested
+        domain was not captured or the machine snapshot is stale.
+        """
+        if kernel is not None and self.kernel is None:
+            raise ValueError("checkpoint captured no kernel state")
+        if rng is not None and self.rng_state is None:
+            raise ValueError("checkpoint captured no RNG state")
+        sim.restore(self.machine)
         if kernel is not None:
-            if self.kernel is None:
-                raise ValueError("checkpoint captured no kernel state")
             kernel.restore(self.kernel)
         if rng is not None:
-            if self.rng_state is None:
-                raise ValueError("checkpoint captured no RNG state")
             rng.setstate(self.rng_state)

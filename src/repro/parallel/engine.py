@@ -11,7 +11,7 @@ workload exactly once -- inheriting the parent's prepared machine when
 the pool forks, rebuilding it otherwise -- and then rollback-replays its
 chunk locally through :meth:`~repro.fault.campaign.FaultCampaign.run_trial`,
 reusing the existing :mod:`repro.fault.checkpoint` bundle.  The bundle
-is a copy-on-write *delta* checkpoint by default: the fork inherits the
+is a copy-on-write *delta* checkpoint: the fork inherits the
 parent's capture (baseline pages are immutable ``bytes``, shared
 OS-level until a worker dirties them), and every per-trial rollback in
 a worker rewrites only the pages its own trial touched.  Workers never
@@ -32,9 +32,8 @@ Crash semantics: a worker that dies (or a chunk that raises) marks its
 chunk failed; after the pool drains, failed chunks re-execute serially
 in the parent process.  Only if that retry also fails does the engine
 raise :class:`ParallelExecutionError` naming the chunk and cause.  A
-``KeyboardInterrupt`` cancels queued chunks and re-raises promptly
-(in-flight trials are bounded by the campaign watchdog), so the engine
-never hangs.
+``KeyboardInterrupt`` cancels queued chunks, kills the workers running
+the in-flight ones, and re-raises promptly, so the engine never hangs.
 
 Test seam: setting the ``REPRO_PARALLEL_POISON_INDEX`` environment
 variable makes pool *workers* (never the parent) kill themselves with
@@ -234,6 +233,12 @@ def fan_out(
                 failed.append(index)
                 if isinstance(exc, BrokenProcessPool):
                     crashes += 1
+    except BaseException:
+        # Leaving early -- most often an interrupt sent to this process
+        # alone: kill the running chunks, or the shutdown below waits
+        # every one of them out.
+        _kill_workers(pool)
+        raise
     finally:
         # Reap the pool before restoring the mask: a submit that raised
         # leaves interrupts blocked, and one pending is raised on restore.
@@ -252,6 +257,18 @@ def fan_out(
     )
     _record_pool_metrics(registry, metric_prefix, info)
     return results, info
+
+
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL every live worker of ``pool``.
+
+    Not ``terminate()``: fork-started workers inherit the CLI's
+    SIGTERM-to-``KeyboardInterrupt`` handler, and the executor's worker
+    loop reports that exception and moves on to the next queued chunk.
+    There is no public way to stop the workers before Python 3.14.
+    """
+    for proc in list((pool._processes or {}).values()):
+        proc.kill()
 
 
 def _record_pool_metrics(registry, prefix: str, info: FanOutInfo) -> None:

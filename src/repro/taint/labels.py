@@ -162,7 +162,8 @@ class LabelTable:
         The pruned caches may retain entries that were only observed after
         capture but whose operands and result all predate it -- those cache
         a pure function (set union / interning), so resolution semantics
-        are identical to a full-copy restore (see DESIGN.md section 4c).
+        are identical to a table that never saw them (see DESIGN.md
+        section 4c).
         """
         if len(self.labels) <= labels_hwm and len(self.sets) <= sets_hwm:
             return
@@ -179,48 +180,3 @@ class LabelTable:
             for key, sid in self._union_memo.items()
             if sid < sets_hwm and key[0] < sets_hwm and key[1] < sets_hwm
         }
-
-    def truncated_snapshot(self, labels_hwm: int, sets_hwm: int) -> Tuple:
-        """Legacy-shape :meth:`snapshot` as of the given high-water marks.
-
-        Used when a delta capture is displaced and must degrade to a full
-        snapshot (:meth:`CowCapture.complete`): the table itself may have
-        grown past the marks, so the snapshot is built from truncated
-        views with caches pruned by the same rules as :meth:`truncate`.
-        """
-        return (
-            tuple(self.labels[:labels_hwm]),
-            tuple(self.sets[:sets_hwm]),
-            {ids: sid for ids, sid in self._intern.items() if sid < sets_hwm},
-            {
-                lid: sid
-                for lid, sid in self._singletons.items()
-                if lid <= labels_hwm and sid < sets_hwm
-            },
-            {
-                key: sid
-                for key, sid in self._union_memo.items()
-                if sid < sets_hwm and key[0] < sets_hwm and key[1] < sets_hwm
-            },
-        )
-
-    # -- snapshot / restore --------------------------------------------------
-
-    def snapshot(self) -> Tuple:
-        """Immutable copy of the full table state."""
-        return (
-            tuple(self.labels),
-            tuple(self.sets),
-            dict(self._intern),
-            dict(self._singletons),
-            dict(self._union_memo),
-        )
-
-    def restore(self, snapshot: Tuple) -> None:
-        """Restore in place (the table object identity is preserved)."""
-        labels, sets, intern, singletons, union_memo = snapshot
-        self.labels[:] = labels
-        self.sets[:] = sets
-        self._intern = dict(intern)
-        self._singletons = dict(singletons)
-        self._union_memo = dict(union_memo)

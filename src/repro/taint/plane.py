@@ -8,7 +8,7 @@ cache lines -- and snapshot/restore copied each independently.  The
 :class:`TaintPlane` now *owns* the memory taint-page dict and the register
 taint list (the memory/register objects share them by identity, so the
 decode-once executor closures keep their captured references) and is the
-single thing :meth:`~repro.cpu.machine.MachineState.snapshot` serializes
+single thing :meth:`~repro.cpu.machine.MachineState.snapshot` captures
 for shadow state.  Cache lines still carry their own taint bytes -- they
 are a coherence-managed *copy* of plane state, snapshotted with the cache.
 
@@ -64,7 +64,7 @@ class TaintPlane:
         self.mode = mode
         #: Page-base -> per-byte taint bitmap.  Shared by identity with
         #: ``TaintedMemory._taint_pages``; the memory object manages page
-        #: allocation, the plane owns snapshot/restore.
+        #: allocation, the plane owns capture/restore.
         self.mem_taint: Dict[int, bytearray] = {}
         #: Clean-page summary: page bases that *may* hold tainted bytes.
         #: Shared by identity with ``TaintedMemory._tainted_pages``.  The
@@ -72,7 +72,7 @@ class TaintPlane:
         #: the page, untaint paths never remove it -- so "base not in
         #: tainted_pages" proves the page's taint bytes are all zero and
         #: fully-clean workloads skip per-byte shadow reads entirely.
-        #: :meth:`restore` recomputes it exactly from the restored pages.
+        #: :meth:`begin_cow` shrinks it to the exact set at capture.
         self.tainted_pages: Set[int] = set()
         #: Word taint masks for the 32 GPRs.  Shared by identity with
         #: ``RegisterFile.taints``.
@@ -93,10 +93,6 @@ class TaintPlane:
         #: (``memory._cow is plane._cow`` while a capture is live).  The
         #: label mutators below feed its ``label_dirty`` page set.
         self._cow = None
-        #: Back-reference to the owning TaintedMemory (set by its
-        #: constructor); lets a direct ``plane.restore()`` displace the
-        #: active capture.  None for standalone planes (unit tests).
-        self._host = None
 
     @property
     def label_mode(self) -> bool:
@@ -283,7 +279,7 @@ class TaintPlane:
         return taint, new_taint
 
     # ------------------------------------------------------------------
-    # delta capture (driven by MachineState.snapshot_cow / restore_cow)
+    # delta capture (driven by MachineState.snapshot / restore)
     # ------------------------------------------------------------------
 
     def begin_cow(self, cow) -> None:
@@ -293,9 +289,8 @@ class TaintPlane:
         scan per mapped page, paid once per capture instead of once per
         restore): the live set is shrunk to the exact set, which is
         semantically invisible -- the summary only promises that absent
-        pages are clean -- and the frozen copy is what every delta
-        restore reinstalls, matching the legacy restore's exact
-        recompute byte for byte.
+        pages are clean -- and the frozen copy is what every restore
+        reinstalls.
         """
         summary = {base for base, page in self.mem_taint.items() if any(page)}
         tainted = self.tainted_pages
@@ -322,7 +317,7 @@ class TaintPlane:
         Must run *after* ``TaintedMemory.restore_cow`` (fresh pages are
         dropped there from both page dicts; a dirty shadow page that no
         longer exists was fresh, so it is skipped here).  The caller
-        (:meth:`MachineState.restore_cow`) clears the dirty sets once
+        (:meth:`MachineState.restore`) clears the dirty sets once
         both halves are done.
         """
         baseline = cow.shadow_baseline
@@ -348,63 +343,3 @@ class TaintPlane:
             self.reg_labels[:] = cow.reg_labels
             self.hilo_label = cow.hilo_label
             self.table.truncate(cow.labels_hwm, cow.sets_hwm)
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (the one serialization point for shadow state)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Tuple:
-        """Immutable copy of all shadow state (both modes).
-
-        Shape: ``(mode, taint_pages, reg_taints, label_state)`` where
-        ``label_state`` is None in bit mode.
-        """
-        if self.table is None:
-            label_state = None
-        else:
-            label_state = (
-                dict(self.mem_labels),
-                tuple(self.reg_labels),
-                self.hilo_label,
-                self.table.snapshot(),
-            )
-        return (
-            self.mode,
-            {base: bytes(page) for base, page in self.mem_taint.items()},
-            tuple(self.reg_taints),
-            label_state,
-        )
-
-    def restore(self, snapshot: Tuple) -> None:
-        """Restore in place: every shared container keeps its identity.
-
-        The clean-page summary is not part of the snapshot tuple (the
-        shape predates it and stays stable); it is recomputed *exactly*
-        from the restored taint pages, which also sheds the conservative
-        over-approximation a long run accumulates.
-        """
-        mode, taint_pages, reg_taints, label_state = snapshot
-        if mode != self.mode:
-            raise ValueError(
-                f"taint plane mode mismatch: snapshot is {mode!r}, "
-                f"plane is {self.mode!r}"
-            )
-        if self._host is not None and self._host._cow is not None:
-            # A wholesale rewrite invalidates delta tracking: complete
-            # and displace the active capture first (idempotent; the
-            # memory's own restore() guard does the same).
-            self._host.release_cow()
-        self.mem_taint.clear()
-        self.tainted_pages.clear()
-        for base, data in taint_pages.items():
-            self.mem_taint[base] = bytearray(data)
-            if any(data):
-                self.tainted_pages.add(base)
-        self.reg_taints[:] = reg_taints
-        if label_state is not None:
-            mem_labels, reg_labels, hilo_label, table_state = label_state
-            self.mem_labels.clear()
-            self.mem_labels.update(mem_labels)
-            self.reg_labels[:] = reg_labels
-            self.hilo_label = hilo_label
-            self.table.restore(table_state)

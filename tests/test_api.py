@@ -9,6 +9,7 @@ import repro
 from repro.api import (
     ENGINES,
     POLICIES,
+    ExecOptions,
     Session,
     TraceConfig,
     resolve_policy,
@@ -17,7 +18,7 @@ from repro.api import (
 from repro.attacks.replay import run_minic as legacy_run_minic
 from repro.builder import build_machine
 from repro.cli import main as cli_main
-from repro.core.policy import NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import NullPolicy, PointerTaintPolicy
 from repro.fault import CampaignConfig, FaultCampaign, builtin_workload
 from repro.libc.build import build_program
 
@@ -58,7 +59,7 @@ class TestBuilder:
         assert sim.run() == 5
 
     def test_builder_matches_legacy_detection(self):
-        from repro.core.detector import SecurityException
+        from repro.defenses.alerts import SecurityException
 
         sim, _ = build_machine(
             build_program(VICTIM), PointerTaintPolicy(), stdin=ATTACK
@@ -71,7 +72,9 @@ class TestBuilder:
 class TestSessionRuns:
     def test_facade_matches_legacy_on_attack(self):
         legacy = legacy_run_minic(VICTIM, PointerTaintPolicy(), stdin=ATTACK)
-        facade = Session(policy="paper").run_minic(VICTIM, stdin=ATTACK)
+        facade = Session(options=ExecOptions(policy="paper")).run_minic(
+            VICTIM, stdin=ATTACK
+        )
         assert facade.detected and legacy.detected
         assert facade.outcome == legacy.outcome
         assert facade.alert.pointer_value == legacy.alert.pointer_value
@@ -85,22 +88,24 @@ class TestSessionRuns:
         assert facade.exit_status == legacy.exit_status
 
     def test_per_call_policy_override(self):
-        session = Session(policy="paper")
+        session = Session(options=ExecOptions(policy="paper"))
         unprotected = session.run_minic(VICTIM, policy="none", stdin=ATTACK)
         assert not unprotected.detected
 
     def test_pipeline_engine(self):
-        result = Session(engine="pipeline").run_minic(VICTIM, stdin=ATTACK)
+        result = Session(options=ExecOptions(engine="pipeline")).run_minic(
+            VICTIM, stdin=ATTACK
+        )
         assert result.detected
         assert result.pstats is not None and result.pstats.cycles > 0
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            Session(engine="warp")
+            Session(options=ExecOptions(engine="warp"))
         assert ENGINES == ("functional", "pipeline")
 
     def test_metrics_accumulate_across_runs(self):
-        session = Session(metrics=True)
+        session = Session(options=ExecOptions(metrics=True))
         first = session.run_minic(VICTIM, stdin=b"x")
         count_1 = first.metrics["counters"]["run.instructions"]
         second = session.run_minic(VICTIM, stdin=b"x")
@@ -114,9 +119,9 @@ class TestSessionRuns:
 
     def test_metrics_do_not_change_detection(self):
         bare = Session().run_minic(VICTIM, stdin=ATTACK)
-        measured = Session(
+        measured = Session(options=ExecOptions(
             metrics=True, trace=True
-        ).run_minic(VICTIM, stdin=ATTACK)
+        )).run_minic(VICTIM, stdin=ATTACK)
         assert measured.detected == bare.detected
         assert measured.alert.pc == bare.alert.pc
         assert (
@@ -130,7 +135,7 @@ class TestSessionCampaign:
         config = CampaignConfig(seed=3, trials=6)
         raw = FaultCampaign(builtin_workload("exp1"), config).run()
         # Instrumentation must not perturb the seeded fault schedule.
-        facade = Session(metrics=True).run_campaign(
+        facade = Session(options=ExecOptions(metrics=True)).run_campaign(
             builtin="exp1", seed=3, trials=6
         )
         assert facade.digest() == raw.digest()
@@ -155,7 +160,9 @@ class TestSessionCampaign:
 
 class TestUnifiedSchema:
     def test_run_result_json(self):
-        result = Session(metrics=True).run_minic(VICTIM, stdin=ATTACK)
+        result = Session(options=ExecOptions(metrics=True)).run_minic(
+            VICTIM, stdin=ATTACK
+        )
         payload = validate_result_json(result.to_json())
         assert payload["kind"] == "run"
         assert payload["detected"] is True
@@ -164,7 +171,7 @@ class TestUnifiedSchema:
         json.dumps(payload)  # must be serializable
 
     def test_campaign_result_json(self):
-        result = Session(metrics=True).run_campaign(
+        result = Session(options=ExecOptions(metrics=True)).run_campaign(
             builtin="exp1", seed=3, trials=5
         )
         payload = validate_result_json(result.to_json())
@@ -174,7 +181,9 @@ class TestUnifiedSchema:
         json.dumps(payload)
 
     def test_experiment_result_json(self):
-        result = Session(metrics=True).run_experiment("fig2", render=False)
+        result = Session(options=ExecOptions(metrics=True)).run_experiment(
+            "fig2", render=False
+        )
         payload = validate_result_json(result.to_json())
         assert payload["kind"] == "experiment"
         assert payload["detected"] is True
@@ -182,7 +191,9 @@ class TestUnifiedSchema:
         json.dumps(payload)
 
     def test_pipeline_run_json_carries_stall_breakdown(self):
-        result = Session(engine="pipeline").run_minic(VICTIM, stdin=b"x")
+        result = Session(options=ExecOptions(engine="pipeline")).run_minic(
+            VICTIM, stdin=b"x"
+        )
         stats = result.to_json()["stats"]
         assert stats["cycles"] > stats["instructions"] > 0
         assert "cpi" in stats and "fetch_stalls" in stats
@@ -298,7 +309,7 @@ class TestSessionExperiments:
             Session().run_experiment("table99")
 
     def test_experiment_timer_recorded(self):
-        session = Session(metrics=True)
+        session = Session(options=ExecOptions(metrics=True))
         session.run_experiment("fig1", render=False)
         dump = session.metrics.to_dict()
         assert dump["timers"]["experiment.fig1.seconds"]["count"] == 1

@@ -61,7 +61,64 @@ def _interrupt_inside_command(proc, signum, timeout_s=60.0):
     return proc.returncode, out, err
 
 
+def _children(pid):
+    """Direct child pids of ``pid`` (Linux ``/proc/.../children``)."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as handle:
+            return [int(field) for field in handle.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _alive(pid):
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestSignalHandling:
+    def test_sigint_to_parent_alone_stops_running_chunks(self):
+        # 200,000 trials over 2 workers: each chunk is 25,000 trials, far
+        # longer than the 3 s the exit may take once the parent alone is
+        # interrupted (no signal reaches the workers' process group).
+        if not os.path.exists(f"/proc/{os.getpid()}/task"):  # pragma: no cover
+            pytest.skip("needs /proc/<pid>/task/<pid>/children")
+        proc = _spawn(
+            "campaign", "--builtin", "exp3", "--trials", "200000", "-j", "2"
+        )
+        deadline = time.monotonic() + 120.0
+        workers = []
+        while len(workers) < 2:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                _out, err = proc.communicate()
+                pytest.fail(f"pool never started both workers: {err}")
+            time.sleep(0.01)
+            workers = _children(proc.pid)
+        both_running = time.monotonic()
+        while time.monotonic() < both_running + 1.0:
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        signalled = time.monotonic()
+        try:
+            _out, err = proc.communicate(timeout=3.0)
+        except subprocess.TimeoutExpired:
+            # Workers hold the output pipes open: kill them first.
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            proc.communicate()
+            pytest.fail("campaign did not exit within 3 s of SIGINT")
+        assert time.monotonic() - signalled < 3.0
+        assert proc.returncode == 130, err
+        assert "repro campaign: interrupted" in err
+        assert [pid for pid in workers if _alive(pid)] == []
+
     def test_sigint_mid_campaign_exits_130_with_progress_message(self):
         # Far more trials than the pool can finish before the signal.
         proc = _spawn(

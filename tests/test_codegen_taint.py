@@ -14,7 +14,7 @@ import pytest
 
 from repro.attacks.replay import run_minic
 from repro.cc.compiler import compile_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 
 
 class TestRegisterPromotion:

@@ -1,36 +1,34 @@
 """Copy-on-write delta checkpoints: differential equivalence and invariants.
 
-Three layers of evidence that delta restore is observably identical to
-the legacy eager full-copy restore:
+Three layers of evidence that delta restore is exact:
 
-* a randomized differential -- two identically seeded memory/plane pairs
-  run the same interleaved stream of writes, bulk I/O, taint flips, wild
-  writes, and rollbacks, one through ``snapshot()``/``restore()`` and one
-  through the COW capture, and must stay bit-identical after every
-  rollback (both plane modes);
+* a randomized differential -- a memory/plane pair runs a seeded stream
+  of writes, bulk I/O, taint flips, wild writes and reads, is captured,
+  runs more of the stream, and is rolled back; after every rollback it
+  must equal a fresh ``TaintedMemory(TaintPlane(mode))`` fed only the
+  same seeded prefix up to the capture point.  That oracle shares no
+  code with the delta path (both plane modes);
 * white-box invariants on the capture's dirty/fresh/baseline tracking
-  (first-write COW, fresh-page dropping, restore idempotence,
-  displacement completion);
-* the campaign digest pin -- one golden digest asserted across delta vs
-  legacy restore, both taint modes, superblocks on/off, and worker pools,
-  which is the end-to-end statement CI enforces.
+  (first-write COW, fresh-page dropping, restore idempotence) and the
+  stale-snapshot rule: a displaced capture refuses to restore;
+* the campaign digest pin (shared with ``tests/test_invariance.py``)
+  under rollback vs rebuild per trial, both trigger paths, both taint
+  modes, superblocks on/off, and worker pools.
 """
 
 import random
 
 import pytest
 
+from repro.builder import build_machine
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.fault.workloads import builtin_workload
+from repro.isa.assembler import assemble
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.tainted_memory import TaintedMemory
 from repro.taint.bits import TaintVector
 from repro.taint.plane import MODE_BIT, MODE_LABEL, TaintPlane
-
-#: exp3 / seed 11 / 25 trials, pinned.  Every configuration a campaign can
-#: run in must reproduce this digest byte for byte (see TestCampaignDigestPin
-#: and the checkpoint-smoke CI job).
-DIGEST_PIN = "9b0588e410ed0e9184188b6567b5305abf6f4b56023b4c3a48c6e35f79829e4b"
+from tests.test_invariance import DIGEST_PIN, in_process
 
 #: A few pages of "program" address space plus a wild region far away,
 #: so fault-style stray writes materialize fresh pages.
@@ -38,13 +36,24 @@ _BASE = 0x0040_0000
 _WILD = 0x6161_4000
 
 
+def _exact_summary(memory: TaintedMemory):
+    """Page bases holding at least one tainted byte."""
+    return {b for b, p in memory.plane.mem_taint.items() if any(p)}
+
+
 def _observable_state(memory: TaintedMemory):
-    """Everything a restore must reproduce, as comparable values."""
+    """Everything a restore must reproduce, as comparable values.
+
+    The clean-page summary is conservative (a page may stay listed after
+    its last taint bit clears), so it is compared as the exact set it
+    stands for; the delta tests assert separately that restore reinstalls
+    exactly that set.
+    """
     plane = memory.plane
     state = {
         "pages": {b: bytes(p) for b, p in memory._pages.items()},
         "shadow": {b: bytes(p) for b, p in plane.mem_taint.items()},
-        "tainted_pages": set(plane.tainted_pages),
+        "tainted_pages": _exact_summary(memory),
         "reg_taints": tuple(plane.reg_taints),
         "tainted_bytes_written": memory.tainted_bytes_written,
     }
@@ -118,45 +127,43 @@ def _random_op(memory: TaintedMemory, rng: random.Random) -> None:
             plane.flip_reg_taint(rng.randrange(1, 32), 0xF)
 
 
+def _replay(mode: str, seed: int, ops: int):
+    """A fresh memory/plane fed the seeded setup plus ``ops`` random ops;
+    returns it with the op stream's rng, positioned after the prefix."""
+    memory = TaintedMemory(TaintPlane(mode))
+    _seed_memory(memory, random.Random(99))
+    rng = random.Random(seed)
+    for _ in range(ops):
+        _random_op(memory, rng)
+    return memory, rng
+
+
+def _rollback(memory: TaintedMemory, cow) -> None:
+    memory.restore_cow(cow)
+    memory.plane.restore_cow(cow)
+    cow.clear_dirty()
+
+
 class TestRandomizedDifferential:
-    """Legacy full-copy restore vs COW delta restore, bit for bit."""
+    """COW delta restore vs a fresh replay of the pre-capture prefix."""
 
     @pytest.mark.parametrize("mode", (MODE_BIT, MODE_LABEL))
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_delta_restore_matches_legacy_restore(self, mode, seed):
-        legacy = TaintedMemory(TaintPlane(mode))
-        delta = TaintedMemory(TaintPlane(mode))
-        seed_rng = random.Random(99)
-        _seed_memory(legacy, random.Random(99))
-        _seed_memory(delta, seed_rng)
-        assert _observable_state(legacy) == _observable_state(delta)
-
-        mem_snap = legacy.snapshot()
-        plane_snap = legacy.plane.snapshot()
+    def test_delta_restore_matches_fresh_replay(self, mode, seed):
+        prefix = 60
+        delta, rng = _replay(mode, seed, prefix)
+        oracle, _ = _replay(mode, seed, prefix)
         cow = delta.begin_cow()
         delta.plane.begin_cow(cow)
-        # The capture's exact-summary shrink is applied to the delta side
-        # only; mirror it by restoring the legacy side once (its restore
-        # recomputes the summary exactly the same way).
-        legacy.plane.restore(plane_snap)
-        legacy.restore(mem_snap)
-        mem_snap = legacy.snapshot()
-        plane_snap = legacy.plane.snapshot()
-        assert _observable_state(legacy) == _observable_state(delta)
-
-        rng_a = random.Random(seed)
-        rng_b = random.Random(seed)
-        for cycle in range(5):
+        expected = _observable_state(oracle)
+        assert _observable_state(delta) == expected
+        for _cycle in range(5):
             for _ in range(40):
-                _random_op(legacy, rng_a)
-                _random_op(delta, rng_b)
-            assert _observable_state(legacy) == _observable_state(delta)
-            legacy.plane.restore(plane_snap)
-            legacy.restore(mem_snap)
-            delta.restore_cow(cow)
-            delta.plane.restore_cow(cow)
-            cow.clear_dirty()
-            assert _observable_state(legacy) == _observable_state(delta)
+                _random_op(delta, rng)
+            _rollback(delta, cow)
+            assert _observable_state(delta) == expected
+            assert set(delta.plane.tainted_pages) == expected["tainted_pages"]
+            assert set(delta._pages) == set(delta._taint_pages)
 
     def test_restore_after_wild_write_unmaps_fresh_pages(self):
         memory = TaintedMemory(TaintPlane(MODE_BIT))
@@ -166,9 +173,7 @@ class TestRandomizedDifferential:
         memory.plane.begin_cow(cow)
         memory.write_bytes(_WILD, b"A" * 1000, taint=True)
         assert memory.mapped_pages() > before
-        memory.restore_cow(cow)
-        memory.plane.restore_cow(cow)
-        cow.clear_dirty()
+        _rollback(memory, cow)
         assert memory.mapped_pages() == before
         assert set(memory._pages) == set(memory._taint_pages)
 
@@ -212,59 +217,102 @@ class TestDirtySetInvariants:
     def test_restore_is_idempotent(self):
         memory, cow = self._captured()
         memory.write_bytes(_BASE + 10, b"garbage", taint=True)
-
-        def rollback():
-            memory.restore_cow(cow)
-            memory.plane.restore_cow(cow)
-            cow.clear_dirty()
-
-        rollback()
+        _rollback(memory, cow)
         once = _observable_state(memory)
-        rollback()
+        _rollback(memory, cow)
         assert _observable_state(memory) == once
         assert not cow.data_dirty and not cow.shadow_dirty and not cow.fresh
 
-    def test_displacement_completes_into_legacy_snapshot(self):
-        memory, cow = self._captured()
-        memory.write(_BASE, 4, 0xFFFFFFFF, taint_mask=0xF)
-        expected_pages = {_BASE: bytes(range(256)) + bytes(PAGE_SIZE - 256)}
-        second = memory.begin_cow()  # displaces and completes the first
-        memory.plane.begin_cow(second)
-        assert cow.completed
-        data, tainted_bytes_written = cow.full_memory
-        assert data == expected_pages
-        assert tainted_bytes_written == 0
-        # The completed capture restores through the legacy tuple path.
-        memory.restore(cow.full_memory)
-        memory.plane.restore(cow.full_taint)
-        assert bytes(memory._pages[_BASE]) == expected_pages[_BASE]
-        assert not any(memory._taint_pages[_BASE])
+
+#: Writes a tainted word into a fresh data page, then exits.
+_STORE_PROGRAM = """
+.text
+_start:
+    li $t0, 0x10008000
+    li $t1, 0x41414141
+    sw $t1, 0($t0)
+    li $v0, 1
+    li $a0, 0
+    syscall
+"""
+
+
+def _machine_state(sim):
+    """A machine's observable state: registers, pc, pages, taint, labels."""
+    memory = sim.memory
+    return {
+        "pc": sim.pc,
+        "halted": sim.halted,
+        "regs": tuple(sim.regs.values),
+        "reg_taints": tuple(sim.regs.taints),
+        "instructions": sim.stats.instructions,
+        "memory": _observable_state(memory),
+    }
+
+
+class TestStaleSnapshot:
+    """A second capture displaces the first; the first may not restore."""
+
+    @staticmethod
+    def _taint_input(sim, addr: int, data: bytes) -> None:
+        plane = sim.plane
+        sid = 0
+        if plane.table is not None:
+            sid = plane.table.singleton(plane.table.new_label(
+                source_kind="stdin", syscall="read", fd=0,
+                offset_range=(0, len(data)),
+            ))
+        sim.copy_in(addr, data, True, sid)
+
+    @pytest.mark.parametrize("labels", (False, True), ids=("bit", "label"))
+    def test_displaced_snapshot_refuses_to_restore(self, labels):
+        """Restoring a displaced snapshot raises ValueError and leaves
+        the machine's observable state untouched."""
+        sim, _kernel = build_machine(
+            assemble(_STORE_PROGRAM), None, taint_labels=labels
+        )
+        first = sim.snapshot()
+        sim.step()
+        self._taint_input(sim, 0x10010000, b"first input")
+        second = sim.snapshot()
+        at_second = _machine_state(sim)
+        self._taint_input(sim, 0x10010004, b"second input")
+        sim.run()
+        before = _machine_state(sim)
+        with pytest.raises(ValueError, match="stale snapshot"):
+            sim.restore(first)
+        assert _machine_state(sim) == before
+        # The active capture still restores exactly.
+        sim.restore(second)
+        assert _machine_state(sim) == at_second
 
 
 class TestCampaignDigestPin:
-    """The end-to-end statement: every configuration reproduces the pin."""
+    """The end-to-end statement, read from the invariance matrix's cells
+    (``tests/test_invariance.py``) wherever the matrix has them."""
 
-    def _digest(self, **overrides) -> str:
-        config = CampaignConfig(seed=11, trials=25, **overrides)
-        campaign = FaultCampaign(builtin_workload("exp3"), config)
-        return campaign.run().digest()
+    @staticmethod
+    def _cell(taint="bit", superblocks="fused", workers=1,
+              restore="rollback", trigger="fast") -> str:
+        return in_process(
+            taint, superblocks, workers, restore, trigger, "functional"
+        )[0]
 
-    def test_delta_restore_matches_legacy_full_copy(self):
-        assert self._digest() == DIGEST_PIN
-        assert (
-            self._digest(delta_restore=False, fast_triggers=False)
-            == DIGEST_PIN
-        )
+    def test_delta_restore_matches_rebuild_per_trial(self):
+        assert self._cell() == DIGEST_PIN
+        assert self._cell(restore="rebuild", trigger="injector") == DIGEST_PIN
 
     def test_fast_triggers_match_legacy_injector(self):
-        assert self._digest(fast_triggers=False) == DIGEST_PIN
+        assert self._cell(trigger="injector") == DIGEST_PIN
 
     def test_pin_holds_in_label_mode(self):
-        assert self._digest(taint_labels=True) == DIGEST_PIN
+        assert self._cell(taint="label") == DIGEST_PIN
 
     def test_pin_holds_without_superblocks(self):
-        assert self._digest(superblocks=False) == DIGEST_PIN
+        assert self._cell(superblocks="unfused") == DIGEST_PIN
 
     @pytest.mark.parametrize("workers", (2, 8))
     def test_pin_holds_across_worker_pools(self, workers):
-        assert self._digest(workers=workers) == DIGEST_PIN
+        config = CampaignConfig(seed=11, trials=25, workers=workers)
+        campaign = FaultCampaign(builtin_workload("exp3"), config)
+        assert campaign.run().digest() == DIGEST_PIN

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import Session, validate_result_json
+from repro.api import ExecOptions, Session, validate_result_json
 from repro.cli import main as cli_main
 from repro.evalx.defense_matrix import (
     DEFENSE_NAMES,
@@ -14,13 +14,7 @@ from repro.evalx.defense_matrix import (
     run_defense_matrix,
     run_defense_overhead,
 )
-
-#: Campaign digest captured on the pre-refactor tree (exp3, seed 11,
-#: 25 trials).  The defenses extraction must keep the default
-#: taintedness path bit-identical, so this constant must never change.
-PRE_REFACTOR_DIGEST = (
-    "9b0588e410ed0e9184188b6567b5305abf6f4b56023b4c3a48c6e35f79829e4b"
-)
+from tests.test_invariance import DIGEST_PIN
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +94,12 @@ class TestCoverageClaims:
 
 class TestDigestStability:
     def test_default_campaign_digest_unchanged_by_refactor(self):
+        # The defenses extraction keeps the default taintedness path
+        # bit-identical: the default Session reproduces the pin.
         result = Session().run_campaign(
             builtin="exp3", seed=11, trials=25
         )
-        assert result.digest() == PRE_REFACTOR_DIGEST
+        assert result.digest() == DIGEST_PIN
 
     def test_alert_line_format_unchanged(self):
         result = Session().run_minic(
@@ -135,7 +131,7 @@ class TestOverhead:
 
 class TestFacadeAndSchema:
     def test_session_matrix_experiment(self):
-        session = Session(metrics=True)
+        session = Session(options=ExecOptions(metrics=True))
         result = session.run_experiment("matrix", render=False)
         assert result.detected
         payload = validate_result_json(result.to_json())
@@ -145,7 +141,7 @@ class TestFacadeAndSchema:
         assert counters["defense.shadow-stack.detections"] >= 1
 
     def test_run_result_defenses_block_round_trips(self):
-        session = Session(defense="shadow-stack")
+        session = Session(options=ExecOptions(defense="shadow-stack"))
         result = session.run_minic(
             "int main(void){ char b[8]; gets(b); return 0; }",
             stdin=b"a" * 32,
@@ -182,10 +178,10 @@ class TestFacadeAndSchema:
 
     def test_session_defense_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown defense"):
-            Session(defense="nonsense")
+            Session(options=ExecOptions(defense="nonsense"))
 
     def test_explicit_policy_overrides_defense_default(self):
-        session = Session(defense="shadow-stack")
+        session = Session(options=ExecOptions(defense="shadow-stack"))
         result = session.run_minic(
             "int main(void){ char b[8]; gets(b); return 0; }",
             "paper",  # per-call policy wins over the defense's default

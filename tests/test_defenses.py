@@ -1,4 +1,4 @@
-"""The defenses package: Detector protocol, registry, comparators, shims."""
+"""The defenses package: Detector protocol, registry, comparators."""
 
 import pytest
 
@@ -16,7 +16,6 @@ from repro.defenses import (
     KIND_RETURN,
     KIND_STORE,
     PacDetector,
-    SecurityException,
     ShadowStackDetector,
     TaintednessDefense,
     TaintednessDetector,
@@ -68,41 +67,8 @@ def make_alert(**overrides):
 
 
 class TestCompatShims:
-    """Satellite: core.detector / core.policy stay importable, cycle-free."""
-
-    def test_core_detector_reexports_same_objects(self):
-        from repro.core import detector as shim
-
-        assert shim.Alert is Alert
-        assert shim.SecurityException is SecurityException
-        assert shim.TaintednessDetector is TaintednessDetector
-        assert shim.DetectionPolicy is DetectionPolicy
-        assert shim.KIND_LOAD == KIND_LOAD
-        assert shim.KIND_JUMP == KIND_JUMP
-
-    def test_core_policy_reexports_same_objects(self):
-        from repro.core import policy as shim
-        from repro.defenses import policy as real
-
-        assert shim.DetectionPolicy is real.DetectionPolicy
-        assert shim.PointerTaintPolicy is real.PointerTaintPolicy
-        assert shim.ControlDataPolicy is real.ControlDataPolicy
-        assert shim.NullPolicy is real.NullPolicy
-
-    def test_no_tail_import_in_shim(self):
-        # The old module ended with an intentional circular tail import;
-        # the shim must import everything at the top of the file.
-        import inspect
-
-        from repro.core import detector as shim
-
-        source = inspect.getsource(shim)
-        lines = [
-            line for line in source.splitlines()
-            if line.startswith(("from ", "import "))
-        ]
-        assert lines, "shim should be import-only"
-        assert "noqa" not in source
+    """The top-level package re-exports the defenses (the ``repro.core``
+    shim modules are gone; ``repro.defenses`` is their one home)."""
 
     def test_top_level_package_exports(self):
         assert repro.TaintednessDetector is TaintednessDetector

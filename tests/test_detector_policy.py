@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.core.detector import (
+from repro.defenses.alerts import (
     Alert,
     KIND_JUMP,
     KIND_LOAD,
     KIND_STORE,
     SecurityException,
-    TaintednessDetector,
 )
-from repro.core.policy import (
+from repro.defenses.policy import (
     ControlDataPolicy,
     DetectionPolicy,
     NullPolicy,
     PointerTaintPolicy,
 )
+from repro.defenses.taintedness import TaintednessDetector
 
 
 class TestPolicies:

@@ -8,7 +8,7 @@ status, and (for detections) the same alert kind at the same pc.
 
 import pytest
 
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.evalx.experiments import all_attack_scenarios
 
 _SCENARIOS = {s.name: s for s in all_attack_scenarios()}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.detector import SecurityException
+from repro.defenses.alerts import SecurityException
 from repro.core.events import (
     EVENT_TYPES,
     EventBus,
@@ -14,7 +14,7 @@ from repro.core.events import (
     TaintPropagated,
     TaintedDereference,
 )
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator, SimulatorFault
 from repro.isa.assembler import assemble
 from repro.kernel.syscalls import Kernel
@@ -110,16 +110,6 @@ class TestRetirementStream:
         sim.run()
         pcs = [e.pc for e in log.of(InstructionRetired)]
         assert pcs[-len(sim.recent_pcs):] == list(sim.recent_pcs)
-
-    def test_trace_hook_shim_bridges_to_events(self):
-        sim = make_sim("add $s0, $t0, $t1")
-        seen = []
-        sim.trace_hook = lambda s, pc, instr: seen.append((s, pc, instr.name))
-        sim.run()
-        assert len(seen) == sim.stats.instructions
-        assert all(entry[0] is sim for entry in seen)
-        sim.trace_hook = None
-        assert not sim.events.has_subscribers(InstructionRetired)
 
 
 class TestAlertOrdering:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.events import FaultInjected, TrialCompleted
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator
 from repro.fault import (
     CampaignConfig,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator, SimulatorFault
 from repro.isa.assembler import assemble
 from repro.kernel.filesystem import (

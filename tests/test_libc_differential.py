@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.ftpglob import FTPGLOB_SOURCE
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 
 _slow = settings(
     max_examples=12, deadline=None,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.taint import TaintVector
+from repro.taint.bits import TaintVector
 from repro.mem.cache import Cache, CacheHierarchy
 from repro.mem.layout import AddressSpace, PAGE_SIZE, STACK_TOP, TEXT_BASE
 from repro.mem.registers import RegisterFile

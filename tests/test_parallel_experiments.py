@@ -2,9 +2,10 @@
 
 PR 5's poisoned-worker seam (``REPRO_PARALLEL_POISON_INDEX``) was only
 exercised through campaign chunks; these tests drive it through the
-artifact-row path -- ``Session.run_experiment(..., workers=2)`` and
-``repro report -j2`` -- and pin the invariant that a worker crash
-degrades to an in-parent retry with **row-identical** output.
+artifact-row path -- ``Session.run_experiment`` with
+``options=ExecOptions(workers=2)`` and ``repro report -j2`` -- and pin
+the invariant that a worker crash degrades to an in-parent retry with
+**row-identical** output.
 """
 
 import io
@@ -12,7 +13,7 @@ import multiprocessing
 
 import pytest
 
-from repro.api import Session
+from repro.api import ExecOptions, Session
 from repro.cli import main as cli_main
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import POISON_ENV
@@ -45,9 +46,13 @@ class TestPoisonedExperimentRows:
         assert counters["parallel.experiment.fig2.chunk_retries"] >= 1
 
     def test_session_run_experiment_is_row_identical(self, monkeypatch):
-        serial = Session().run_experiment("fig2", render=True, workers=1)
+        serial = Session().run_experiment(
+            "fig2", render=True, options=ExecOptions(workers=1)
+        )
         monkeypatch.setenv(POISON_ENV, "1")
-        poisoned = Session().run_experiment("fig2", render=True, workers=2)
+        poisoned = Session().run_experiment(
+            "fig2", render=True, options=ExecOptions(workers=2)
+        )
         assert poisoned.report == serial.report
         assert _without_timing(poisoned.to_json()) == _without_timing(
             serial.to_json()

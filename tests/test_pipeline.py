@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.detector import SecurityException
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.alerts import SecurityException
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.pipeline import Pipeline, STAGES
 from repro.cpu.simulator import Simulator
 from repro.isa.assembler import assemble

@@ -19,7 +19,7 @@ from repro.apps.wuftpd import (
     uid_address,
     wuftpd_scenario,
 )
-from repro.core.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
 
 
 class TestWuFtpd:

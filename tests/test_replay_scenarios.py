@@ -12,7 +12,7 @@ from repro.attacks.replay import (
     run_minic,
 )
 from repro.attacks.scenarios import AttackScenario, POLICY_MATRIX
-from repro.core.policy import NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import NullPolicy, PointerTaintPolicy
 from repro.isa.assembler import assemble
 from repro.isa.program import Executable
 from repro.kernel.network import ScriptedClient

@@ -6,8 +6,8 @@ pure functions), including the syscall taint-initialization boundary.
 
 import pytest
 
-from repro.core.detector import SecurityException
-from repro.core.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
+from repro.defenses.alerts import SecurityException
+from repro.defenses.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
 
 from tests.helpers import run_asm
 

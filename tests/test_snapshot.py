@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.machine import ExecutionLimit
 from repro.cpu.simulator import Simulator
 from repro.fault.checkpoint import Checkpoint
@@ -53,38 +53,59 @@ def run_partway(sim, instructions=500):
     sim.disarm_watchdog()
 
 
+def observable(sim):
+    """A machine's observable state: registers, pc, pages, taint pages,
+    label sidecar, stats, alerts, watchpoints and the recent-PC ring."""
+    plane = sim.plane
+    return {
+        "pc": sim.pc,
+        "halted": sim.halted,
+        "exit_status": sim.exit_status,
+        "regs": tuple(sim.regs.values),
+        "reg_taints": tuple(sim.regs.taints),
+        "hi_lo": (sim.regs.hi, sim.regs.lo),
+        "pages": {b: bytes(p) for b, p in sim.memory._pages.items()},
+        "taint_pages": {b: bytes(p) for b, p in plane.mem_taint.items()},
+        "tainted_bytes_written": sim.memory.tainted_bytes_written,
+        "mem_labels": dict(plane.mem_labels),
+        "reg_labels": tuple(plane.reg_labels),
+        "stats": sim.stats.clone(),
+        "recent_pcs": tuple(sim.recent_pcs),
+        "alerts": tuple(sim.detector.alerts),
+        "watchpoints": tuple(sim.watchpoints),
+        "caches": sim.caches.snapshot() if sim.caches is not None else None,
+    }
+
+
 class TestMachineSnapshot:
     def test_roundtrip_restores_all_architectural_state(self):
         sim, kernel = make_machine()
         run_partway(sim)
+        captured = observable(sim)
         snap = sim.snapshot()
         # Perturb everything by running to completion...
         sim.run()
         assert sim.halted
+        assert observable(sim) != captured
         # ...then roll back and compare every captured domain.
         sim.restore(snap)
-        assert sim.pc == snap.pc
-        assert not sim.halted
-        assert sim.regs.snapshot() == snap.regs
-        assert sim.memory.snapshot() == snap.memory
-        assert sim.stats == snap.stats
-        assert tuple(sim.recent_pcs) == snap.recent_pcs
-        assert tuple(sim.detector.alerts) == snap.alerts
+        assert observable(sim) == captured
 
     def test_taint_bitmap_roundtrips(self):
         sim, _ = make_machine()
         run_partway(sim, 2000)  # past the read(): input bytes are tainted
-        snap = sim.snapshot()
-        # Shadow state now lives in the plane snapshot, not the memory one.
-        _, taint_pages, _, _ = snap.taint
-        _, tainted_writes = snap.memory
+        taint_pages = {b: bytes(p) for b, p in sim.plane.mem_taint.items()}
+        tainted_writes = sim.memory.tainted_bytes_written
         assert any(any(page) for page in taint_pages.values())
-        # Scrub some shadow bits, then roll back.
+        snap = sim.snapshot()
+        # Scrub some shadow bits, taint a fresh page, then roll back.
         for base in list(taint_pages):
             sim.memory.set_taint(base, 64, False)
         sim.memory.set_taint(0x7FFF0000, 4, True)
         sim.restore(snap)
-        assert sim.plane.snapshot()[1] == taint_pages
+        assert {
+            b: bytes(p) for b, p in sim.plane.mem_taint.items()
+        } == taint_pages
         assert sim.memory.tainted_bytes_written == tainted_writes
 
     def test_restore_is_in_place_and_rerunnable(self):
@@ -122,17 +143,21 @@ class TestMachineSnapshot:
     def test_cache_state_roundtrips(self):
         sim, _ = make_machine(use_caches=True)
         run_partway(sim, 1500)
+        captured = observable(sim)
+        assert captured["caches"] is not None
         snap = sim.snapshot()
-        assert snap.caches is not None
         sim.run()
         sim.restore(snap)
-        assert sim.caches.snapshot() == snap.caches
+        assert observable(sim) == captured
 
     def test_cache_config_mismatch_rejected(self):
         plain, _ = make_machine(use_caches=False)
         cached, _ = make_machine(use_caches=True)
-        with pytest.raises(ValueError, match="cache configuration"):
+        before = observable(plain)
+        # A snapshot restores only onto the machine that took it.
+        with pytest.raises(ValueError, match="stale snapshot"):
             plain.restore(cached.snapshot())
+        assert observable(plain) == before
 
     def test_watchpoints_roundtrip(self):
         sim, _ = make_machine()

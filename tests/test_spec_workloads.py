@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.spec import SPEC_WORKLOADS, workload_by_name
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.evalx.experiments import run_table3
 
 

@@ -4,7 +4,7 @@ Covers the ISSUE 8 contract: the fused dispatch tier is a pure
 optimisation (byte-identical results with it on or off, across taint
 modes and pool widths), self-modifying-code writes force re-fusion
 without changing results, and the consolidated ``ExecOptions`` bundle
-validates once while the legacy kwargs warn exactly once per process.
+validates once and is the only way to pass an execution knob.
 """
 
 from __future__ import annotations
@@ -16,17 +16,11 @@ import warnings
 import pytest
 
 import repro
-import repro.api as api
 from repro import ExecOptions, Session
 from repro.builder import build_machine
 from repro.isa.assembler import assemble
 from repro.mem.layout import TEXT_BASE
-
-#: Campaign digest pinned in CI (exp3, seed 11, 25 trials); any change
-#: to executed semantics -- including a superblock bug -- moves it.
-PINNED_EXP3_DIGEST = (
-    "9b0588e410ed0e9184188b6567b5305abf6f4b56023b4c3a48c6e35f79829e4b"
-)
+from tests.test_invariance import DIGEST_PIN
 
 #: A straight-line-heavy loop: 50 iterations of pure ALU work ending in
 #: a branch, so the fused tier builds blocks once and replays them.
@@ -126,16 +120,16 @@ class TestCampaignDigestInvariance:
         return result.digest()
 
     def test_pinned_digest_with_superblocks(self):
-        assert self._digest(superblocks=True) == PINNED_EXP3_DIGEST
+        assert self._digest(superblocks=True) == DIGEST_PIN
 
     def test_pinned_digest_without_superblocks(self):
-        assert self._digest(superblocks=False) == PINNED_EXP3_DIGEST
+        assert self._digest(superblocks=False) == DIGEST_PIN
 
     def test_pinned_digest_across_taint_mode_and_workers(self):
         digest = self._digest(
             superblocks=True, taint_labels=True, workers=2
         )
-        assert digest == PINNED_EXP3_DIGEST
+        assert digest == DIGEST_PIN
 
 
 class TestExecOptionsValidation:
@@ -173,33 +167,55 @@ class TestExecOptionsValidation:
 
 
 class TestLegacyKwargAliases:
-    def test_mixing_options_and_kwargs_raises(self):
-        with pytest.raises(ValueError, match="not both"):
-            Session(options=ExecOptions(), use_caches=True)
+    """The pre-ExecOptions flat kwargs are gone: each one fails loudly
+    instead of being silently overwritten by the session's options."""
 
-    def test_legacy_kwarg_warns_exactly_once_per_process(self):
-        saved = set(api._warned_legacy_kwargs)
-        api._warned_legacy_kwargs.clear()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                Session(use_caches=False)
-                Session(use_caches=True)
-            hits = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "use_caches=" in str(w.message)
-            ]
-            assert len(hits) == 1
-        finally:
-            api._warned_legacy_kwargs.clear()
-            api._warned_legacy_kwargs.update(saved)
+    def test_mixing_options_and_kwargs_raises(self):
+        with pytest.raises(TypeError):
+            Session(options=ExecOptions(), use_caches=True)
+        with pytest.raises(TypeError, match="options=ExecOptions"):
+            Session().run_minic(
+                "int main(void) { return 0; }",
+                options=ExecOptions(), use_caches=True,
+            )
+
+    @pytest.mark.parametrize("method, name, value", [
+        *[
+            (method, name, value)
+            for method in ("run_executable", "run_minic")
+            for name, value in (
+                ("use_pipeline", True),
+                ("use_caches", True),
+                ("taint_labels", True),
+                ("max_instructions", 10),
+                ("defense", "shadow-stack"),
+                ("superblocks", False),
+            )
+        ],
+        ("run_campaign", "engine", "pipeline"),
+        ("run_campaign", "use_caches", True),
+        ("run_campaign", "taint_labels", True),
+        ("run_campaign", "superblocks", False),
+        ("run_campaign", "workers", 2),
+    ])
+    def test_plain_kwarg_knob_rejected(self, method, name, value):
+        target = {
+            "run_executable": assemble(LOOP_PROGRAM),
+            "run_minic": "int main(void) { return 0; }",
+        }
+        call = getattr(Session(), method)
+        pattern = rf"\['{name}'\].*options=ExecOptions"
+        with pytest.raises(TypeError, match=pattern):
+            if method == "run_campaign":
+                call(builtin="exp3", seed=11, trials=1, **{name: value})
+            else:
+                call(target[method], **{name: value})
 
     def test_options_path_is_warning_free(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             session = Session(options=ExecOptions(use_caches=True))
-            assert session.use_caches is True
+            assert session.options.use_caches is True
         assert not [
             w for w in caught
             if issubclass(w.category, DeprecationWarning)
@@ -207,7 +223,8 @@ class TestLegacyKwargAliases:
 
 
 class TestNoInternalShimImports:
-    """No module under ``repro`` may import the deprecated shims."""
+    """No module under ``repro`` may import (or re-create) the removed
+    ``repro.core`` compat shims: each name has one import path."""
 
     SHIMS = {"repro.core.taint", "repro.core.detector", "repro.core.policy"}
 
@@ -233,7 +250,7 @@ class TestNoInternalShimImports:
             if is_package:
                 module = module[: -len(".__init__")]
             if module in self.SHIMS:
-                continue  # the shims themselves
+                offenders.append((str(rel), module))
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
@@ -248,6 +265,4 @@ class TestNoInternalShimImports:
                         dotted = f"{base}.{alias.name}"
                         if dotted in self.SHIMS:
                             offenders.append((str(rel), dotted))
-        assert not offenders, (
-            f"internal modules still import deprecated shims: {offenders}"
-        )
+        assert not offenders, f"removed shims are back: {offenders}"

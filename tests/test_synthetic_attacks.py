@@ -11,7 +11,7 @@ from repro.apps.synthetic import (
     vuln_a_scenario,
     vuln_b_scenario,
 )
-from repro.core.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
 
 
 class TestExp1StackSmash:

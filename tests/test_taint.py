@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.taint import (
+from repro.taint.bits import (
     CLEAN,
     TaintVector,
     WORD_TAINTED,

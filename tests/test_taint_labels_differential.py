@@ -9,14 +9,14 @@ the only observable difference is the provenance chain on the alert.
 
 import pytest
 
-from repro.api import Session, validate_result_json
+from repro.api import ExecOptions, Session, validate_result_json
 from repro.apps import (
     ghttpd_scenario,
     nullhttpd_scenario,
     traceroute_scenario,
     wuftpd_scenario,
 )
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.evalx.experiments import all_attack_scenarios
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.fault.workloads import builtin_workload
@@ -102,9 +102,12 @@ class TestRealWorldProvenance:
         assert all(l.source_kind == "argv" for l in provenance)
 
     def test_provenance_surfaces_in_json_and_validates(self):
-        session = Session(policy="paper", metrics=True, taint_labels=True)
         scenario = wuftpd_scenario()
         kwargs = scenario._materialize(scenario.attack_input)
+        session = Session(options=ExecOptions(
+            policy="paper", metrics=True, taint_labels=True,
+            max_instructions=kwargs.pop("max_instructions"),
+        ))
         result = session.run_executable(scenario.build(), **kwargs)
         payload = validate_result_json(result.to_json())
         entries = payload["stats"]["provenance"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.fault.faults import FaultSpec, apply_state_fault
 from repro.mem.registers import RegisterFile
 from repro.mem.tainted_memory import TaintedMemory
@@ -107,14 +107,17 @@ class TestLabelTable:
         assert table.interned_sets == 4  # empty, {a}, {b}, {a,b}
 
     def test_snapshot_restore_roundtrip(self):
+        # A delta capture snapshots the append-only table as its
+        # high-water marks; restore truncates back to them.
         table = LabelTable()
         a = table.singleton(table.new_label(source_kind="stdin"))
-        snap = table.snapshot()
+        marks = (len(table.labels), len(table.sets))
         b = table.singleton(table.new_label(source_kind="net"))
         table.union(a, b)
-        table.restore(snap)
+        table.truncate(*marks)
         assert table.allocated_labels == 1
         assert table.interned_sets == 2
+        assert table.singleton(1) == a
         # Allocation after restore reuses the freed id space consistently.
         c = table.singleton(table.new_label(source_kind="env"))
         assert table.members(c)[0].source_kind == "env"
@@ -156,24 +159,33 @@ class TestTaintPlane:
         assert plane.provenance(sid)[0].source_kind == "stdin"
 
     def test_snapshot_restore_mode_mismatch_rejected(self):
-        bit = TaintPlane(MODE_BIT)
-        label = TaintPlane(MODE_LABEL)
-        with pytest.raises(ValueError):
-            label.restore(bit.snapshot())
+        source = "int main(void) { return 0; }"
+        bit = run_minic(source, PointerTaintPolicy()).sim
+        label = run_minic(source, PointerTaintPolicy(), taint_labels=True).sim
+        # A snapshot restores only onto the machine (and so the plane
+        # mode) that took it.
+        with pytest.raises(ValueError, match="stale snapshot"):
+            bit.restore(label.snapshot())
 
     def test_label_state_roundtrips_through_snapshot(self):
-        plane = TaintPlane(MODE_LABEL)
+        memory = TaintedMemory(TaintPlane(MODE_LABEL))
+        plane = memory.plane
         sid = plane.table.singleton(
             plane.table.new_label(source_kind="net", syscall="recv", fd=4)
         )
+        memory.write_bytes(0x2000, b"ab", taint=True)
         plane.label_span(0x2000, 2, sid)
         plane.reg_labels[5] = sid
-        snap = plane.snapshot()
-        plane.mem_labels.clear()
+        cow = memory.begin_cow()
+        plane.begin_cow(cow)
+        # Perturb through the tracked mutators: relabel, untaint, allocate.
+        other = plane.table.singleton(plane.table.new_label(source_kind="env"))
+        plane.label_span(0x2000, 2, other)
+        plane.on_store(0x2000, 2, 0, 0)
         plane.reg_labels[5] = 0
-        plane.table.new_label(source_kind="env")
-        plane.restore(snap)
-        assert plane.mem_labels[0x2000] == sid
+        memory.restore_cow(cow)
+        plane.restore_cow(cow)
+        assert plane.mem_labels == {0x2000: sid, 0x2001: sid}
         assert plane.reg_labels[5] == sid
         assert plane.table.allocated_labels == 1
 
@@ -295,11 +307,18 @@ class TestMachineSnapshotWithLabels:
         sim = result.sim
         address = sim.executable.address_of("_g_g")
         snap = sim.snapshot()
-        before_sid = sim.plane.mem_labels[address]
-        # Perturb: clear taint and labels, then roll back.
+        before = dict(sim.plane.mem_labels)
+        before_sid = before[address]
+        labels = sim.plane.table.allocated_labels
+        # Perturb through the machine's data path -- untaint the buffer,
+        # flip a byte back to tainted under a fresh fault label -- then
+        # roll back.
         sim.memory.set_taint(address, 8, False)
-        sim.plane.mem_labels.clear()
+        sim.plane.on_store(address, 4, 0, 0)
+        sim.plane.flip_mem_taint(sim, address + 1)
+        assert sim.plane.mem_labels[address + 1] != before_sid
         sim.restore(snap)
+        assert sim.plane.mem_labels == before
         assert sim.plane.mem_labels[address] == before_sid
         assert sim.memory.read_taint(address, 8).mask == 0xFF
-        assert sim.plane.table is not None
+        assert sim.plane.table.allocated_labels == labels

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.replay import OUTCOME_LIMIT, run_executable
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.machine import ExecutionLimit
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator
