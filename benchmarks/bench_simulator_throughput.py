@@ -132,10 +132,15 @@ def test_bench_pipeline_engine(benchmark):
 
 
 def test_bench_toolchain(benchmark):
-    from repro.libc.build import _build_cached
+    from repro.libc import build as libc_build
 
     def fresh_build():
-        _build_cached.cache_clear()
+        # Every toolchain cache (libc compile, libc prefix, linked images),
+        # so each round compiles and assembles from source like a fresh
+        # process.
+        for value in vars(libc_build).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
         return build_program(_MINIC_PROGRAM)
 
     exe = benchmark(fresh_build)

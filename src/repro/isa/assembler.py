@@ -15,13 +15,25 @@ runtime sources need:
 Pass 1 parses lines, expands pseudo-instructions into fixed-size proto
 instructions and assigns addresses; pass 2 resolves symbols, computes branch
 displacements, encodes, and produces an :class:`Executable`.
+
+Pass 1 is resumable.  :meth:`Assembler.prefix` runs it over the leading
+part of a unit and freezes the state it reaches, together with the pass-2
+result of every instruction whose operands already resolve there.
+``assemble(rest, prefix=...)`` continues pass 1 from a copy of that state
+and, in pass 2, builds only the instructions the prefix could not, so one
+prefix (crt0 + libc) is parsed and encoded once and linked into many
+programs.  This is exact because every name has one definition: an operand
+that resolves inside the prefix means the same in every unit that extends
+it.  Assembling without a prefix starts from the empty one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..mem.layout import DATA_BASE, TEXT_BASE
 from .encoding import ZERO_EXTEND_IMM, encode
@@ -116,6 +128,38 @@ class _DataFixup:
     line: str
 
 
+#: One instruction's pass-2 result: decoded form, encoded word, source line.
+_Built = Tuple[Instr, int, str]
+
+
+@dataclass(frozen=True)
+class AssemblyPrefix:
+    """The leading part of a translation unit, assembled for linking.
+
+    Made by :meth:`Assembler.prefix`; every unit assembled with it (by an
+    assembler with the same segment bases) starts from this state, which
+    nothing mutates (resuming copies it), so one prefix serves any number
+    of units.
+    """
+
+    #: Pass-1 state after the prefix source.
+    symbols: Mapping[str, int]
+    equates: Mapping[str, int]
+    protos: Tuple[_Proto, ...]
+    data: bytes
+    data_fixups: Tuple[_DataFixup, ...]
+    section: str
+    text_addr: int
+    pending_data_labels: Tuple[str, ...]
+    #: Source lines the prefix occupies when a unit is joined to it with
+    #: ``"\n"``; the unit's line numbers continue after them.
+    lines: int
+    #: The pass-2 result for each of ``protos``, or None where building it
+    #: raised (an operand naming a symbol defined later); only those are
+    #: built again when a unit is linked.
+    built: Tuple[Optional[_Built], ...]
+
+
 class Assembler:
     """Two-pass assembler producing :class:`Executable` images."""
 
@@ -129,27 +173,72 @@ class Assembler:
     # public API
     # ------------------------------------------------------------------
 
-    def assemble(self, source: str, entry_symbol: str = "_start") -> Executable:
-        """Assemble one translation unit into an executable image."""
-        self._symbols: Dict[str, int] = {}
-        self._equates: Dict[str, int] = {}
-        self._protos: List[_Proto] = []
-        self._data = bytearray()
-        self._data_fixups: List[_DataFixup] = []
-        self._section = "text"
-        self._text_addr = self.text_base
-        self._pending_data_labels: List[str] = []
+    def assemble(
+        self,
+        source: str,
+        entry_symbol: str = "_start",
+        prefix: Optional[AssemblyPrefix] = None,
+    ) -> Executable:
+        """Assemble one translation unit into an executable image.
 
-        self._pass_one(source)
+        With ``prefix`` (from :meth:`prefix` on the unit's leading source
+        ``head``), ``source`` is the rest of the unit, and the image equals
+        the one ``assemble(head + "\n" + source)`` returns, errors and
+        their line numbers included.
+        """
+        if prefix is None:
+            prefix = self._empty_prefix()
+        self._resume(prefix)
+        self._pass_one(source, prefix.lines)
         self._bind_pending_data_labels()
-        return self._pass_two(entry_symbol)
+        return self._pass_two(entry_symbol, prefix.built)
+
+    def prefix(self, source: str) -> AssemblyPrefix:
+        """Run pass 1 over the leading part of a unit, plus pass 2 for
+        each instruction whose operands already resolve, and freeze the
+        result for :meth:`assemble`'s ``prefix``."""
+        self._resume(self._empty_prefix())
+        self._pass_one(source, 0)
+        return AssemblyPrefix(
+            symbols=MappingProxyType(self._symbols),
+            equates=MappingProxyType(self._equates),
+            protos=tuple(self._protos),
+            data=bytes(self._data),
+            data_fixups=tuple(self._data_fixups),
+            section=self._section,
+            text_addr=self._text_addr,
+            pending_data_labels=tuple(self._pending_data_labels),
+            lines=len((source + "\n").splitlines()),
+            built=tuple(self._try_build(proto) for proto in self._protos),
+        )
+
+    def _empty_prefix(self) -> AssemblyPrefix:
+        return AssemblyPrefix(
+            MappingProxyType({}), MappingProxyType({}), (), b"", (), "text",
+            self.text_base, (), 0, (),
+        )
+
+    def _resume(self, prefix: AssemblyPrefix) -> None:
+        """Start pass 1 from a copy of ``prefix``'s state."""
+        self._symbols: Dict[str, int] = dict(prefix.symbols)
+        self._equates: Dict[str, int] = dict(prefix.equates)
+        self._protos: List[_Proto] = list(prefix.protos)
+        self._data = bytearray(prefix.data)
+        self._data_fixups: List[_DataFixup] = list(prefix.data_fixups)
+        self._section = prefix.section
+        self._text_addr = prefix.text_addr
+        self._pending_data_labels: List[str] = list(
+            prefix.pending_data_labels
+        )
 
     # ------------------------------------------------------------------
     # pass 1
     # ------------------------------------------------------------------
 
-    def _pass_one(self, source: str) -> None:
-        for line_no, raw in enumerate(source.splitlines(), start=1):
+    def _pass_one(self, source: str, lines_before: int) -> None:
+        for line_no, raw in enumerate(
+            source.splitlines(), start=lines_before + 1
+        ):
             line = self._strip_comment(raw)
             if not line.strip():
                 continue
@@ -207,9 +296,17 @@ class Assembler:
                 return None
         return None
 
-    def _define_symbol(self, name: str, line_no: int, raw: str) -> None:
-        if name in self._symbols or name in self._equates:
+    def _claim_name(self, name: str, line_no: int, raw: str) -> None:
+        """Every name -- label or equate -- has exactly one definition."""
+        if (
+            name in self._symbols
+            or name in self._equates
+            or name in self._pending_data_labels
+        ):
             raise AssemblerError(f"duplicate symbol {name!r}", line_no, raw)
+
+    def _define_symbol(self, name: str, line_no: int, raw: str) -> None:
+        self._claim_name(name, line_no, raw)
         if self._section == "text":
             self._symbols[name] = self._text_addr
         else:
@@ -242,6 +339,7 @@ class Assembler:
             sym = sym.strip()
             if not _LABEL_RE.match(sym):
                 raise AssemblerError(f"bad .equ name {sym!r}", line_no, raw)
+            self._claim_name(sym, line_no, raw)
             self._equates[sym] = self._parse_int(expr.strip(), line_no, raw)
         elif name == ".align":
             power = self._parse_int(arg.strip(), line_no, raw)
@@ -482,7 +580,9 @@ class Assembler:
     # pass 2
     # ------------------------------------------------------------------
 
-    def _pass_two(self, entry_symbol: str) -> Executable:
+    def _pass_two(
+        self, entry_symbol: str, built: Sequence[Optional[_Built]]
+    ) -> Executable:
         exe = Executable(
             text_base=self.text_base,
             data_base=self.data_base,
@@ -497,13 +597,25 @@ class Assembler:
             self._data[fixup.offset : fixup.offset + 4] = exe_bytes
         exe.data = self._data
 
-        for proto in self._protos:
-            instr = self._build_instr(proto)
-            instr.text = disassemble(instr)
-            exe.instructions.append(instr)
-            exe.text_words.append(encode(instr))
-            exe.source_map[proto.addr] = proto.line.strip()
+        instructions, words = exe.instructions, exe.text_words
+        source_map = exe.source_map
+        for proto, entry in zip_longest(self._protos, built):
+            instr, word, line = entry or self._build(proto)
+            instructions.append(instr)
+            words.append(word)
+            source_map[proto.addr] = line
         return exe
+
+    def _build(self, proto: _Proto) -> _Built:
+        instr = self._build_instr(proto)
+        instr.text = disassemble(instr)
+        return instr, encode(instr), proto.line.strip()
+
+    def _try_build(self, proto: _Proto) -> Optional[_Built]:
+        try:
+            return self._build(proto)
+        except AssemblerError:
+            return None
 
     def _build_instr(self, proto: _Proto) -> Instr:
         spec = SPECS[proto.name]
@@ -626,6 +738,11 @@ class Assembler:
         return offset
 
 
-def assemble(source: str, entry_symbol: str = "_start") -> Executable:
-    """Assemble ``source`` with default segment bases."""
-    return Assembler().assemble(source, entry_symbol)
+def assemble(
+    source: str,
+    entry_symbol: str = "_start",
+    prefix: Optional[AssemblyPrefix] = None,
+) -> Executable:
+    """Assemble ``source`` with default segment bases (after ``prefix``,
+    if given -- see :meth:`Assembler.assemble`)."""
+    return Assembler().assemble(source, entry_symbol, prefix)

@@ -1,9 +1,13 @@
 """Executable program images produced by the assembler.
 
 An :class:`Executable` is the loadable result of assembling one translation
-unit (our toolchain concatenates all assembly modules into a single unit, so
-no separate linker is needed): encoded text words, an initialized data
-segment, the symbol table, and the entry point.
+unit: encoded text words, an initialized data segment, the symbol table, and
+the entry point.  A libc-linked program's unit is assembled in two parts --
+the crt0 + libc prefix once, shared by every program, then the program's own
+assembly against it (:meth:`~repro.isa.assembler.Assembler.prefix`) -- and
+the image is the one assembling the whole unit at once gives.  Executables
+built from one prefix share its decoded :class:`Instr` objects, which nothing
+writes after assembly.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Program builder: MiniC application + libc + crt0 -> executable image.
 
-The toolchain concatenates all assembly (crt0, compiled libc units, compiled
-application units, syscall veneers) into one translation unit and assembles
-it, so no separate linker is required.  Compiled images are memoized by
-source text -- benchmarks rebuild the same programs repeatedly.
+A program is one translation unit: crt0, the compiled libc units, the
+compiled application, any extra assembly, and the syscall veneers, in that
+order.  Its fixed leading part -- crt0 + libc, the *libc prefix* -- is
+assembled once per opt level (:meth:`~repro.isa.assembler.Assembler.prefix`),
+and each program is linked by assembling only the rest of the unit against
+it; the image is the one assembling the whole unit at once gives.  Compiled
+images are memoized by source text -- benchmarks rebuild the same programs
+repeatedly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from ..cc.compiler import compile_units
-from ..isa.assembler import assemble
+from ..isa.assembler import Assembler, AssemblyPrefix, assemble
 from ..isa.program import Executable
 from .malloc_src import MALLOC_SOURCE
 from .runtime import CRT0, SYSCALL_VENEERS
@@ -35,36 +39,37 @@ def _libc_assembly(opt_level: int = 0) -> str:
     return compile_units(LIBC_UNITS, opt_level=opt_level)
 
 
+@lru_cache(maxsize=None)
+def _libc_prefix(opt_level: int = 0) -> AssemblyPrefix:
+    """crt0 + the whole standard library, assembled once per level for
+    every program to link against."""
+    return Assembler().prefix("\n".join([CRT0, _libc_assembly(opt_level)]))
+
+
 @lru_cache(maxsize=64)
-def _build_cached(
-    app_source: str, with_libc: bool, extra_asm: str, opt_level: int
-) -> Executable:
-    parts = [CRT0]
-    if with_libc:
-        parts.append(_libc_assembly(opt_level))
-    parts.append(compile_units((("app", app_source),), opt_level=opt_level))
+def _build_cached(app_source: str, extra_asm: str, opt_level: int) -> Executable:
+    parts = [compile_units((("app", app_source),), opt_level=opt_level)]
     if extra_asm:
         parts.append(extra_asm)
     parts.append(SYSCALL_VENEERS)
-    return assemble("\n".join(parts))
+    return assemble("\n".join(parts), prefix=_libc_prefix(opt_level))
 
 
 def build_program(
-    app_source: str,
-    with_libc: bool = True,
-    extra_asm: str = "",
-    opt_level: int = 0,
+    app_source: str, extra_asm: str = "", opt_level: int = 0
 ) -> Executable:
     """Compile and link a MiniC program against the runtime and libc.
 
     ``opt_level`` selects the MiniC backend (0 = legacy oracle, 1 = IR
-    pipeline) for both the application and the libc units.
+    pipeline) for both the application and the libc units.  The image is
+    the one assembling ``crt0 + libc + app + extra_asm + veneers`` as one
+    unit gives; the libc part of it is shared by every program.
 
     The returned :class:`Executable` is cached and therefore shared; callers
     must not mutate it (the simulator never does -- it copies the image into
     its own memory).
     """
-    return _build_cached(app_source, with_libc, extra_asm, opt_level)
+    return _build_cached(app_source, extra_asm, opt_level)
 
 
 def build_assembly(asm_source: str, with_crt0: bool = False) -> Executable:

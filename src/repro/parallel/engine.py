@@ -34,6 +34,9 @@ in the parent process.  Only if that retry also fails does the engine
 raise :class:`ParallelExecutionError` naming the chunk and cause.  A
 ``KeyboardInterrupt`` cancels queued chunks, kills the workers running
 the in-flight ones, and re-raises promptly, so the engine never hangs.
+A parent that dies without running any Python (SIGKILL, the OOM killer)
+takes its workers with it: each asks the kernel for SIGKILL on its
+parent's death (Linux; see :func:`_die_with_parent`).
 
 Test seam: setting the ``REPRO_PARALLEL_POISON_INDEX`` environment
 variable makes pool *workers* (never the parent) kill themselves with
@@ -44,9 +47,11 @@ retry-and-merge path preserves the digest.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -153,11 +158,34 @@ def plan_chunks(
 _INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
 
 
-def _pool_initializer() -> None:
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _pool_initializer(parent_pid: int) -> None:
     global _IN_WORKER
     _IN_WORKER = True
+    _die_with_parent(parent_pid)
     # fan_out forks its workers with the interrupts blocked.
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """End this worker when the pool's parent dies, even by SIGKILL, so
+    no worker outlives it and holds its output pipes open.
+
+    On Linux the kernel delivers SIGKILL once the parent thread that
+    started the worker exits (the thread that submits the pool's tasks;
+    both pool owners keep it for the pool's whole life).  A parent that
+    died before the request took effect is caught by the pid check.
+    """
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent_pid:
+        os._exit(0)
 
 
 def _pool_context():
@@ -209,7 +237,10 @@ def fan_out(
     crashes = 0
     failed: List[int] = []
     pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_pool_initializer
+        max_workers=workers,
+        mp_context=ctx,
+        initializer=_pool_initializer,
+        initargs=(os.getpid(),),
     )
     # The first submit forks the workers before it starts the manager
     # thread that shutdown joins: an interrupt in between leaves a pool
@@ -217,9 +248,16 @@ def fan_out(
     # task is submitted; one that arrived meanwhile is raised on unblocking.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
     try:
-        futures = {
-            pool.submit(func, task): i for i, task in enumerate(tasks)
-        }
+        futures = {}
+        for i, task in enumerate(tasks):
+            try:
+                futures[pool.submit(func, task)] = i
+            except BrokenProcessPool:
+                # A worker died before every task was submitted: the
+                # rest take the serial retry below, like its own chunk.
+                crashes += 1
+                failed.extend(range(i, len(tasks)))
+                break
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for future in as_completed(futures):
             index = futures[future]

@@ -309,6 +309,7 @@ class WorkerPool:
                 max_workers=self.workers,
                 mp_context=self._ctx,
                 initializer=_engine._pool_initializer,
+                initargs=(os.getpid(),),
             )
         return self._executor
 

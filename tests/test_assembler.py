@@ -195,6 +195,22 @@ class TestErrors:
         with pytest.raises(AssemblerError, match="duplicate symbol"):
             asm("a: nop\na: nop\n")
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ".equ N, 1\n.equ N, 2\n.text\n_start: nop\n",
+            ".text\n_start: nop\nfoo: nop\n.equ foo, 0x1234\n",
+            ".equ foo, 0x1234\n.text\n_start: nop\nfoo: nop\n",
+            ".data\nfoo:\n.equ foo, 4\n.word 1\n.text\n_start: nop\n",
+        ],
+        ids=["equ-twice", "equ-after-label", "label-after-equ",
+             "equ-after-pending-data-label"],
+    )
+    def test_equate_names_are_single_definition(self, source):
+        with pytest.raises(AssemblerError, match="duplicate symbol 'N'|"
+                           "duplicate symbol 'foo'"):
+            assemble(source)
+
     def test_immediate_out_of_range(self):
         with pytest.raises(AssemblerError, match="out of 16-bit range"):
             asm("addiu $t0,$0,40000\n")

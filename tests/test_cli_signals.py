@@ -119,6 +119,41 @@ class TestSignalHandling:
         assert "repro campaign: interrupted" in err
         assert [pid for pid in workers if _alive(pid)] == []
 
+    def test_workers_die_with_a_sigkilled_parent(self):
+        # A SIGKILLed parent runs no cleanup: only the workers' own
+        # parent-death request stops their 25,000-trial chunks.
+        if not os.path.exists(f"/proc/{os.getpid()}/task"):  # pragma: no cover
+            pytest.skip("needs /proc/<pid>/task/<pid>/children")
+        proc = _spawn(
+            "campaign", "--builtin", "exp3", "--trials", "200000", "-j", "2"
+        )
+        deadline = time.monotonic() + 120.0
+        workers = []
+        while len(workers) < 2:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                _out, err = proc.communicate()
+                pytest.fail(f"pool never started both workers: {err}")
+            time.sleep(0.01)
+            workers = _children(proc.pid)
+        proc.kill()
+        killed = time.monotonic()
+        try:
+            proc.communicate(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("workers held the output pipes open after 5 s")
+        while [pid for pid in workers if _alive(pid)]:
+            if time.monotonic() > killed + 5.0:
+                for pid in workers:
+                    if _alive(pid):
+                        os.kill(pid, signal.SIGKILL)
+                pytest.fail("a worker outlived its SIGKILLed parent by 5 s")
+            time.sleep(0.05)
+
     def test_sigint_mid_campaign_exits_130_with_progress_message(self):
         # Far more trials than the pool can finish before the signal.
         proc = _spawn(

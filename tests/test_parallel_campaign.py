@@ -14,6 +14,8 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -140,6 +142,27 @@ class TestFanOut:
             fan_out(_fail_on_seven, [1, 7, 3], workers=2)
         assert excinfo.value.task_index == 1
         assert "retry" in str(excinfo.value)
+
+    def test_pool_broken_while_submitting_retries_the_rest(
+        self, monkeypatch
+    ):
+        # A worker that dies before every task is submitted breaks the
+        # pool under the submitting loop: the unsubmitted tasks must take
+        # the serial retry too, not escape as BrokenProcessPool.
+        original = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(self, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died mid-submission")
+            return original(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        results, info = fan_out(_double, [5, 1, 9, 3], workers=2)
+        assert results == [10, 2, 18, 6]
+        assert info.worker_crashes == 1
+        assert info.retried_tasks == 3
 
     def test_pool_metrics_recorded(self):
         registry = MetricsRegistry()
